@@ -1,6 +1,11 @@
 #include "core/config_parser.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <functional>
+#include <optional>
+#include <type_traits>
 
 #include "common/string_util.h"
 
@@ -8,36 +13,204 @@ namespace mqa {
 
 namespace {
 
-Result<bool> ParseBool(const std::string& key, const std::string& value) {
-  const std::string v = ToLower(value);
-  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
-  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-  return Status::InvalidArgument("bad boolean for " + key + ": " + value);
+/// Reads one value into a field of type T: booleans in the spellings
+/// below, integers as unsigned decimal narrowed to the field, floats as
+/// strtof/strtod read them.
+template <typename T>
+Status ParseValue(const std::string& key, const std::string& value, T* out) {
+  if constexpr (std::is_same_v<T, bool>) {
+    const std::string v = ToLower(value);
+    if (v == "true" || v == "1" || v == "yes" || v == "on") {
+      *out = true;
+    } else if (v == "false" || v == "0" || v == "no" || v == "off") {
+      *out = false;
+    } else {
+      return Status::InvalidArgument("bad boolean for " + key + ": " + value);
+    }
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    *out = value;
+  } else {
+    char* end = nullptr;
+    T v{};
+    if constexpr (std::is_integral_v<T>) {
+      v = static_cast<T>(std::strtoull(value.c_str(), &end, 10));
+    } else if constexpr (std::is_same_v<T, float>) {
+      v = std::strtof(value.c_str(), &end);
+    } else {
+      v = std::strtod(value.c_str(), &end);
+    }
+    if (end == value.c_str() || *end != '\0') {
+      return Status::InvalidArgument(
+          std::string(std::is_integral_v<T> ? "bad integer for "
+                                            : "bad float for ") +
+          key + ": " + value);
+    }
+    *out = v;
+  }
+  return Status::OK();
 }
 
-Result<uint64_t> ParseUint(const std::string& key, const std::string& value) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') {
-    return Status::InvalidArgument("bad integer for " + key + ": " + value);
+/// Prints a field so that ParseValue reads back exactly the same value;
+/// floats use their shortest round-trip form.
+template <typename T>
+std::string FormatValue(const T& value) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return value ? "true" : "false";
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return value;
+  } else if constexpr (std::is_integral_v<T>) {
+    return std::to_string(value);
+  } else {
+    char buf[32];
+    const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), value);
+    return std::string(buf, r.ptr);
   }
-  return static_cast<uint64_t>(v);
 }
 
-Result<float> ParseFloat(const std::string& key, const std::string& value) {
-  char* end = nullptr;
-  const float v = std::strtof(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0') {
-    return Status::InvalidArgument("bad float for " + key + ": " + value);
-  }
-  return v;
+/// One config-text key: how to read its value into an MqaConfig and how to
+/// print it back. `print` yields nothing for a value the config does not
+/// hold (a noise slot past the end of world.modality_noise).
+struct ConfigKey {
+  const char* name;
+  std::function<Status(const std::string& value, MqaConfig* config)> parse;
+  std::function<std::optional<std::string>(const MqaConfig& config)> print;
+};
+
+/// Binds a key to the field `field(config)` refers to; `then` applies the
+/// key's coupled effects on other fields after a successful parse.
+template <typename FieldFn>
+ConfigKey Bind(const char* name, FieldFn field,
+               void (*then)(MqaConfig*) = nullptr) {
+  return {name,
+          [name, field, then](const std::string& value, MqaConfig* config) {
+            MQA_RETURN_NOT_OK(ParseValue(name, value, &field(*config)));
+            if (then != nullptr) then(config);
+            return Status::OK();
+          },
+          [field](const MqaConfig& config) -> std::optional<std::string> {
+            return FormatValue(field(config));
+          }};
 }
 
-void EnsureNoiseSize(MqaConfig* config) {
-  if (config->world.modality_noise.size() < 2) {
-    config->world.modality_noise.resize(2, 0.1f);
-  }
+/// world.image_noise / world.text_noise: slots 0 and 1 of
+/// world.modality_noise, which parsing grows to two entries.
+ConfigKey NoiseKey(const char* name, size_t slot) {
+  return {name,
+          [name, slot](const std::string& value, MqaConfig* config) {
+            std::vector<float>& noise = config->world.modality_noise;
+            if (noise.size() < 2) noise.resize(2, 0.1f);
+            return ParseValue(name, value, &noise[slot]);
+          },
+          [slot](const MqaConfig& config) -> std::optional<std::string> {
+            const std::vector<float>& noise = config.world.modality_noise;
+            if (slot >= noise.size()) return std::nullopt;
+            return FormatValue(noise[slot]);
+          }};
 }
+
+#define MQA_FIELD(path) [](auto& c) -> auto& { return c.path; }
+
+/// Every key the config text knows, in print order. The order matters
+/// where a key has coupled effects: `seed` also sets world.seed and
+/// `world.latent_dim` may grow world.raw_image_dim, so each prints before
+/// the key it overrides.
+const std::vector<ConfigKey>& ConfigKeys() {
+  static const std::vector<ConfigKey> keys = {
+      Bind("enable_knowledge_base", MQA_FIELD(enable_knowledge_base)),
+      Bind("corpus_size", MQA_FIELD(corpus_size)),
+      Bind("kb_name", MQA_FIELD(kb_name)),
+      Bind("encoder", MQA_FIELD(encoder_preset)),
+      Bind("embedding_dim", MQA_FIELD(embedding_dim)),
+      Bind("learn_weights", MQA_FIELD(learn_weights)),
+      Bind("training_triplets", MQA_FIELD(num_training_triplets)),
+      Bind("index.algorithm", MQA_FIELD(index.algorithm)),
+      Bind("index.max_degree", MQA_FIELD(index.graph.max_degree),
+           [](MqaConfig* c) {
+             c->index.hnsw.m = std::max<uint32_t>(
+                 2, c->index.graph.max_degree / 2);
+           }),
+      Bind("index.build_beam", MQA_FIELD(index.graph.build_beam),
+           [](MqaConfig* c) {
+             c->index.hnsw.ef_construction = c->index.graph.build_beam;
+           }),
+      Bind("index.alpha", MQA_FIELD(index.graph.alpha)),
+      Bind("index.sketch_prefilter", MQA_FIELD(index.sketch_prefilter)),
+      Bind("index.sketch_scale", MQA_FIELD(index.sketch_scale)),
+      Bind("simd.level", MQA_FIELD(simd_level)),
+      Bind("framework", MQA_FIELD(framework)),
+      Bind("search.k", MQA_FIELD(search.k)),
+      Bind("search.beam_width", MQA_FIELD(search.beam_width)),
+      Bind("rewrite_vague_queries", MQA_FIELD(rewrite_vague_queries)),
+      Bind("llm", MQA_FIELD(llm)),
+      Bind("temperature", MQA_FIELD(temperature)),
+      Bind("resilience.enable", MQA_FIELD(resilience.enable)),
+      Bind("resilience.llm_max_attempts",
+           MQA_FIELD(resilience.llm_max_attempts)),
+      Bind("resilience.llm_backoff_ms",
+           MQA_FIELD(resilience.llm_initial_backoff_ms)),
+      Bind("resilience.llm_deadline_ms",
+           MQA_FIELD(resilience.llm_overall_deadline_ms)),
+      Bind("resilience.breaker_threshold",
+           MQA_FIELD(resilience.breaker_failure_threshold)),
+      Bind("resilience.breaker_open_ms",
+           MQA_FIELD(resilience.breaker_open_ms)),
+      Bind("resilience.encoder_max_attempts",
+           MQA_FIELD(resilience.encoder_max_attempts)),
+      Bind("resilience.io_error_budget",
+           MQA_FIELD(index.disk.io_error_budget)),
+      Bind("serving.num_workers", MQA_FIELD(serving.num_workers)),
+      Bind("serving.queue_capacity", MQA_FIELD(serving.queue_capacity)),
+      Bind("serving.default_deadline_ms",
+           MQA_FIELD(serving.default_deadline_ms)),
+      Bind("serving.enable_batching", MQA_FIELD(serving.enable_batching)),
+      Bind("serving.max_batch", MQA_FIELD(serving.max_batch)),
+      Bind("serving.batch_flush_slack_ms",
+           MQA_FIELD(serving.batch_flush_slack_ms)),
+      Bind("serving.breaker_threshold",
+           MQA_FIELD(serving.breaker_failure_threshold)),
+      Bind("serving.breaker_open_ms", MQA_FIELD(serving.breaker_open_ms)),
+      Bind("shard.enable", MQA_FIELD(shard.enable)),
+      Bind("shard.num_shards", MQA_FIELD(shard.num_shards)),
+      Bind("shard.quorum", MQA_FIELD(shard.quorum)),
+      Bind("shard.partition", MQA_FIELD(shard.partition)),
+      Bind("shard.hedge_percentile", MQA_FIELD(shard.hedge_percentile)),
+      Bind("shard.hedge_min_samples", MQA_FIELD(shard.hedge_min_samples)),
+      Bind("shard.deadline_fraction", MQA_FIELD(shard.deadline_fraction)),
+      Bind("shard.fanout_threads", MQA_FIELD(shard.fanout_threads)),
+      Bind("shard.breaker_threshold",
+           MQA_FIELD(shard.breaker_failure_threshold)),
+      Bind("shard.breaker_open_ms", MQA_FIELD(shard.breaker_open_ms)),
+      Bind("observability.trace_turns",
+           MQA_FIELD(observability.trace_turns)),
+      Bind("observability.explain_turns",
+           MQA_FIELD(observability.explain_turns)),
+      Bind("observability.trace_build",
+           MQA_FIELD(observability.trace_build)),
+      Bind("seed", MQA_FIELD(seed),
+           [](MqaConfig* c) { c->world.seed = c->seed; }),
+      Bind("world.num_concepts", MQA_FIELD(world.num_concepts)),
+      Bind("world.latent_dim", MQA_FIELD(world.latent_dim),
+           [](MqaConfig* c) {
+             if (c->world.raw_image_dim < c->world.latent_dim) {
+               c->world.raw_image_dim = c->world.latent_dim * 2;
+             }
+           }),
+      Bind("world.seed", MQA_FIELD(world.seed)),
+      Bind("world.raw_image_dim", MQA_FIELD(world.raw_image_dim)),
+      Bind("world.words_per_concept", MQA_FIELD(world.words_per_concept)),
+      Bind("world.adjectives_per_noun",
+           MQA_FIELD(world.adjectives_per_noun)),
+      Bind("world.extra_modalities", MQA_FIELD(world.num_extra_modalities)),
+      Bind("world.object_noise", MQA_FIELD(world.object_noise)),
+      Bind("world.adjective_dropout",
+           MQA_FIELD(world.text_adjective_dropout)),
+      NoiseKey("world.image_noise", 0),
+      NoiseKey("world.text_noise", 1),
+  };
+  return keys;
+}
+
+#undef MQA_FIELD
 
 }  // namespace
 
@@ -57,190 +230,30 @@ Result<MqaConfig> ParseMqaConfig(const std::vector<std::string>& lines) {
       return Status::InvalidArgument("line " + std::to_string(lineno + 1) +
                                      ": empty key or value");
     }
-
-    if (key == "enable_knowledge_base") {
-      MQA_ASSIGN_OR_RETURN(config.enable_knowledge_base,
-                           ParseBool(key, value));
-    } else if (key == "corpus_size") {
-      MQA_ASSIGN_OR_RETURN(config.corpus_size, ParseUint(key, value));
-    } else if (key == "kb_name") {
-      config.kb_name = value;
-    } else if (key == "encoder") {
-      config.encoder_preset = value;
-    } else if (key == "embedding_dim") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.embedding_dim = static_cast<uint32_t>(v);
-    } else if (key == "learn_weights") {
-      MQA_ASSIGN_OR_RETURN(config.learn_weights, ParseBool(key, value));
-    } else if (key == "training_triplets") {
-      MQA_ASSIGN_OR_RETURN(config.num_training_triplets,
-                           ParseUint(key, value));
-    } else if (key == "index.algorithm") {
-      config.index.algorithm = value;
-    } else if (key == "index.max_degree") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.index.graph.max_degree = static_cast<uint32_t>(v);
-      config.index.hnsw.m = static_cast<uint32_t>(std::max<uint64_t>(2, v / 2));
-    } else if (key == "index.build_beam") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.index.graph.build_beam = static_cast<uint32_t>(v);
-      config.index.hnsw.ef_construction = static_cast<uint32_t>(v);
-    } else if (key == "index.alpha") {
-      MQA_ASSIGN_OR_RETURN(config.index.graph.alpha, ParseFloat(key, value));
-    } else if (key == "index.sketch_prefilter") {
-      MQA_ASSIGN_OR_RETURN(config.index.sketch_prefilter,
-                           ParseBool(key, value));
-    } else if (key == "index.sketch_scale") {
-      MQA_ASSIGN_OR_RETURN(config.index.sketch_scale, ParseFloat(key, value));
-    } else if (key == "simd.level") {
-      config.simd_level = value;
-    } else if (key == "framework") {
-      config.framework = value;
-    } else if (key == "search.k") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.search.k = v;
-    } else if (key == "search.beam_width") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.search.beam_width = v;
-    } else if (key == "rewrite_vague_queries") {
-      MQA_ASSIGN_OR_RETURN(config.rewrite_vague_queries,
-                           ParseBool(key, value));
-    } else if (key == "llm") {
-      config.llm = value;
-    } else if (key == "temperature") {
-      MQA_ASSIGN_OR_RETURN(config.temperature, ParseFloat(key, value));
-    } else if (key == "resilience.enable") {
-      MQA_ASSIGN_OR_RETURN(config.resilience.enable, ParseBool(key, value));
-    } else if (key == "resilience.llm_max_attempts") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.resilience.llm_max_attempts = static_cast<int>(v);
-    } else if (key == "resilience.llm_backoff_ms") {
-      MQA_ASSIGN_OR_RETURN(float v, ParseFloat(key, value));
-      config.resilience.llm_initial_backoff_ms = v;
-    } else if (key == "resilience.llm_deadline_ms") {
-      MQA_ASSIGN_OR_RETURN(float v, ParseFloat(key, value));
-      config.resilience.llm_overall_deadline_ms = v;
-    } else if (key == "resilience.breaker_threshold") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.resilience.breaker_failure_threshold = static_cast<int>(v);
-    } else if (key == "resilience.breaker_open_ms") {
-      MQA_ASSIGN_OR_RETURN(float v, ParseFloat(key, value));
-      config.resilience.breaker_open_ms = v;
-    } else if (key == "resilience.encoder_max_attempts") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.resilience.encoder_max_attempts = static_cast<int>(v);
-    } else if (key == "resilience.io_error_budget") {
-      MQA_ASSIGN_OR_RETURN(config.index.disk.io_error_budget,
-                           ParseUint(key, value));
-    } else if (key == "serving.num_workers") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.serving.num_workers = static_cast<size_t>(v);
-    } else if (key == "serving.queue_capacity") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.serving.queue_capacity = static_cast<size_t>(v);
-    } else if (key == "serving.default_deadline_ms") {
-      MQA_ASSIGN_OR_RETURN(float v, ParseFloat(key, value));
-      config.serving.default_deadline_ms = v;
-    } else if (key == "serving.enable_batching") {
-      MQA_ASSIGN_OR_RETURN(config.serving.enable_batching,
-                           ParseBool(key, value));
-    } else if (key == "serving.max_batch") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.serving.max_batch = static_cast<size_t>(v);
-    } else if (key == "serving.batch_flush_slack_ms") {
-      MQA_ASSIGN_OR_RETURN(float v, ParseFloat(key, value));
-      config.serving.batch_flush_slack_ms = v;
-    } else if (key == "serving.breaker_threshold") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.serving.breaker_failure_threshold = static_cast<int>(v);
-    } else if (key == "serving.breaker_open_ms") {
-      MQA_ASSIGN_OR_RETURN(float v, ParseFloat(key, value));
-      config.serving.breaker_open_ms = v;
-    } else if (key == "shard.enable") {
-      MQA_ASSIGN_OR_RETURN(config.shard.enable, ParseBool(key, value));
-    } else if (key == "shard.num_shards") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.shard.num_shards = static_cast<size_t>(v);
-    } else if (key == "shard.quorum") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.shard.quorum = static_cast<size_t>(v);
-    } else if (key == "shard.partition") {
-      config.shard.partition = value;
-    } else if (key == "shard.hedge_percentile") {
-      MQA_ASSIGN_OR_RETURN(float v, ParseFloat(key, value));
-      config.shard.hedge_percentile = v;
-    } else if (key == "shard.hedge_min_samples") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.shard.hedge_min_samples = static_cast<size_t>(v);
-    } else if (key == "shard.deadline_fraction") {
-      MQA_ASSIGN_OR_RETURN(float v, ParseFloat(key, value));
-      config.shard.deadline_fraction = v;
-    } else if (key == "shard.fanout_threads") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.shard.fanout_threads = static_cast<size_t>(v);
-    } else if (key == "shard.breaker_threshold") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.shard.breaker_failure_threshold = static_cast<int>(v);
-    } else if (key == "shard.breaker_open_ms") {
-      MQA_ASSIGN_OR_RETURN(float v, ParseFloat(key, value));
-      config.shard.breaker_open_ms = v;
-    } else if (key == "observability.trace_turns") {
-      MQA_ASSIGN_OR_RETURN(config.observability.trace_turns,
-                           ParseBool(key, value));
-    } else if (key == "observability.explain_turns") {
-      MQA_ASSIGN_OR_RETURN(config.observability.explain_turns,
-                           ParseBool(key, value));
-    } else if (key == "observability.trace_build") {
-      MQA_ASSIGN_OR_RETURN(config.observability.trace_build,
-                           ParseBool(key, value));
-    } else if (key == "seed") {
-      MQA_ASSIGN_OR_RETURN(config.seed, ParseUint(key, value));
-      config.world.seed = config.seed;
-    } else if (key == "world.num_concepts") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.world.num_concepts = static_cast<uint32_t>(v);
-    } else if (key == "world.latent_dim") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.world.latent_dim = static_cast<uint32_t>(v);
-      if (config.world.raw_image_dim < v) {
-        config.world.raw_image_dim = static_cast<uint32_t>(v) * 2;
-      }
-    } else if (key == "world.seed") {
-      MQA_ASSIGN_OR_RETURN(config.world.seed, ParseUint(key, value));
-    } else if (key == "world.raw_image_dim") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.world.raw_image_dim = static_cast<uint32_t>(v);
-    } else if (key == "world.words_per_concept") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.world.words_per_concept = static_cast<uint32_t>(v);
-    } else if (key == "world.adjectives_per_noun") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.world.adjectives_per_noun = static_cast<uint32_t>(v);
-    } else if (key == "world.extra_modalities") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.world.num_extra_modalities = static_cast<uint32_t>(v);
-    } else if (key == "world.object_noise") {
-      MQA_ASSIGN_OR_RETURN(config.world.object_noise, ParseFloat(key, value));
-    } else if (key == "world.adjective_dropout") {
-      MQA_ASSIGN_OR_RETURN(config.world.text_adjective_dropout,
-                           ParseFloat(key, value));
-    } else if (key == "world.image_noise") {
-      EnsureNoiseSize(&config);
-      MQA_ASSIGN_OR_RETURN(config.world.modality_noise[0],
-                           ParseFloat(key, value));
-    } else if (key == "world.text_noise") {
-      EnsureNoiseSize(&config);
-      MQA_ASSIGN_OR_RETURN(config.world.modality_noise[1],
-                           ParseFloat(key, value));
-    } else {
+    const std::vector<ConfigKey>& keys = ConfigKeys();
+    auto it = std::find_if(keys.begin(), keys.end(), [&](const ConfigKey& k) {
+      return key == k.name;
+    });
+    if (it == keys.end()) {
       return Status::InvalidArgument("unknown config key: " + key);
     }
+    MQA_RETURN_NOT_OK(it->parse(value, &config));
   }
   return config;
 }
 
 Result<MqaConfig> ParseMqaConfigText(const std::string& text) {
   return ParseMqaConfig(Split(text, '\n'));
+}
+
+std::string MqaConfigToText(const MqaConfig& config) {
+  std::string out;
+  for (const ConfigKey& key : ConfigKeys()) {
+    if (std::optional<std::string> value = key.print(config)) {
+      out += std::string(key.name) + " = " + *value + "\n";
+    }
+  }
+  return out;
 }
 
 }  // namespace mqa

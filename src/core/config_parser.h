@@ -14,49 +14,20 @@ namespace mqa {
 /// values are errors (fail fast on typos). Blank lines and lines starting
 /// with '#' are ignored.
 ///
-/// Recognized keys:
-///   enable_knowledge_base   bool   ("true"/"false"/"1"/"0")
-///   corpus_size             uint
-///   kb_name                 string
-///   encoder                 string ("sim-clip" | "sim-resnet-lstm" | ...)
-///   embedding_dim           uint
-///   learn_weights           bool
-///   training_triplets       uint
-///   index.algorithm         string ("mqa-hybrid" | "hnsw" | "starling" ...)
-///   index.max_degree        uint
-///   index.build_beam        uint
-///   index.alpha             float
-///   framework               string ("must" | "mr" | "je")
-///   search.k                uint
-///   search.beam_width       uint
-///   llm                     string ("sim-llm" | "none")
-///   temperature             float
-///   seed                    uint
-///   world.num_concepts      uint
-///   world.latent_dim        uint
-///   world.raw_image_dim     uint
-///   world.seed              uint   (overrides the top-level seed)
-///   world.words_per_concept uint
-///   world.adjectives_per_noun uint
-///   world.extra_modalities  uint
-///   world.object_noise      float
-///   world.adjective_dropout float
-///   world.image_noise       float
-///   world.text_noise        float
-///   serving.num_workers     uint
-///   serving.queue_capacity  uint
-///   serving.default_deadline_ms float
-///   serving.enable_batching bool
-///   serving.max_batch       uint
-///   serving.batch_flush_slack_ms float
-///   serving.breaker_threshold uint
-///   serving.breaker_open_ms float
-/// plus the `resilience.*` and `observability.*` knob groups (see
-/// config_parser.cc for the full key-by-key mapping).
+/// The recognized keys, the field each one sets and any coupled effects
+/// on other fields are listed once, in the key table `ConfigKeys()` in
+/// config_parser.cc, which drives MqaConfigToText too.
 Result<MqaConfig> ParseMqaConfig(const std::vector<std::string>& lines);
 
 /// Convenience: splits `text` on newlines and parses.
 Result<MqaConfig> ParseMqaConfigText(const std::string& text);
+
+/// Prints every key of the table with its value in `config`, in a form
+/// ParseMqaConfigText reads back exactly (floats included). Fields that no
+/// key names (clocks, learner settings, ...) are not printed, and a field
+/// set only through a coupled key (hnsw.m, hnsw.ef_construction) comes
+/// back as the coupling derives it.
+std::string MqaConfigToText(const MqaConfig& config);
 
 }  // namespace mqa
 

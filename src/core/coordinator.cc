@@ -51,12 +51,15 @@ std::unique_ptr<LanguageModel> MaybeWrapLlm(std::unique_ptr<LanguageModel> llm,
 
 /// Builds the configured retrieval framework: the single-index path, or —
 /// with config.shard.enable — the fault-isolated sharded fan-out layer
-/// over per-shard instances of the same framework. The shard layer
-/// inherits the resilience clock unless it carries its own, so MockClock
-/// tests drive breaker cool-downs and deadline slices from one source.
+/// over per-shard instances of the same framework. A non-null
+/// `saved_graph` loads the MUST graph instead of building it (the caller
+/// passes one only for unsharded MUST). The shard layer inherits the
+/// resilience clock unless it carries its own, so MockClock tests drive
+/// breaker cool-downs and deadline slices from one source.
 Result<std::unique_ptr<RetrievalFramework>> BuildFramework(
     const MqaConfig& config, std::shared_ptr<const VectorStore> store,
-    std::vector<float> weights, BuildReport* report) {
+    std::vector<float> weights, std::istream* saved_graph,
+    BuildReport* report) {
   if (config.shard.enable) {
     ShardOptions options = config.shard;
     if (options.clock == nullptr) options.clock = config.resilience.clock;
@@ -67,10 +70,18 @@ Result<std::unique_ptr<RetrievalFramework>> BuildFramework(
                                  report));
     return std::unique_ptr<RetrievalFramework>(std::move(sharded));
   }
-  MQA_ASSIGN_OR_RETURN(
-      std::unique_ptr<RetrievalFramework> fw,
-      CreateRetrievalFramework(config.framework, std::move(store),
-                               std::move(weights), config.index, report));
+  std::unique_ptr<RetrievalFramework> fw;
+  if (saved_graph != nullptr) {
+    MQA_ASSIGN_OR_RETURN(
+        fw, MustFramework::Create(std::move(store), std::move(weights),
+                                  config.index, /*enable_pruning=*/true,
+                                  report, saved_graph));
+  } else {
+    MQA_ASSIGN_OR_RETURN(
+        fw, CreateRetrievalFramework(config.framework, std::move(store),
+                                     std::move(weights), config.index,
+                                     report));
+  }
   if (config.resilience.clock != nullptr) {
     fw->SetClock(config.resilience.clock);
   }
@@ -81,9 +92,31 @@ Result<std::unique_ptr<RetrievalFramework>> BuildFramework(
 
 Result<std::unique_ptr<Coordinator>> Coordinator::Create(
     const MqaConfig& config) {
+  return Assemble(config, nullptr);
+}
+
+Result<std::unique_ptr<Coordinator>> Coordinator::CreateFromState(
+    const MqaConfig& config, KnowledgeBase kb, VectorStore store,
+    std::vector<float> weights, std::istream* index_blob) {
+  if (!config.enable_knowledge_base) {
+    return Status::InvalidArgument(
+        "a persisted system always has a knowledge base");
+  }
+  SavedState saved{std::move(kb), std::move(store), std::move(weights),
+                   index_blob};
+  return Assemble(config, &saved);
+}
+
+Result<std::unique_ptr<Coordinator>> Coordinator::Assemble(
+    const MqaConfig& config, SavedState* saved) {
   std::unique_ptr<Coordinator> c(new Coordinator());
   c->config_ = config;
-  c->InitCompaction();
+  CircuitBreakerConfig compaction_breaker;
+  compaction_breaker.failure_threshold =
+      config.compaction.breaker_failure_threshold;
+  compaction_breaker.open_duration_ms = config.compaction.breaker_open_ms;
+  c->compaction_breaker_ = std::make_unique<CircuitBreaker>(
+      compaction_breaker, config.resilience.clock);
 
   // Pin the distance-kernel dispatch before any index work. "auto" leaves
   // resolution to the environment (MQA_SIMD_LEVEL) and CPUID; an explicit
@@ -98,34 +131,43 @@ Result<std::unique_ptr<Coordinator>> Coordinator::Create(
   MQA_LOG(Info) << "simd: distance kernels at level "
                 << SimdLevelName(ActiveSimdLevel());
 
-  // Trace the offline pipeline: stage spans below nest under build/root,
+  // Trace the offline pipeline: stage spans below nest under the root,
   // and DAG stages dispatched to pool threads re-attach via the ambient
   // trace (see DagPipeline::Run).
   if (config.observability.trace_build) {
-    c->build_trace_ =
-        std::make_shared<Trace>("offline-build", config.observability.clock);
+    c->build_trace_ = std::make_shared<Trace>(
+        saved != nullptr ? "restore" : "offline-build",
+        config.observability.clock);
   }
   std::optional<ScopedTrace> scoped_trace;
   if (c->build_trace_ != nullptr) scoped_trace.emplace(c->build_trace_.get());
-  Span build_span("coordinator/build");
+  Span build_span(saved != nullptr ? "coordinator/restore"
+                                   : "coordinator/build");
 
-  // --- Data preprocessing: build the world and ingest the corpus. ---
+  // --- Data preprocessing: the world is always regenerated from the
+  // config; the corpus is generated from it or taken from the snapshot. ---
   Timer timer;
   MQA_ASSIGN_OR_RETURN(World world, World::Create(config.world));
   c->world_ = std::make_unique<World>(std::move(world));
   if (config.enable_knowledge_base) {
-    if (config.corpus_size == 0) {
-      return Status::InvalidArgument("corpus_size must be > 0");
-    }
     Span span("build/preprocess");
-    MQA_ASSIGN_OR_RETURN(
-        KnowledgeBase kb,
-        c->world_->GenerateCorpus(config.corpus_size, config.kb_name));
-    c->kb_ = std::make_unique<KnowledgeBase>(std::move(kb));
+    if (saved != nullptr) {
+      c->kb_ = std::make_unique<KnowledgeBase>(std::move(saved->kb));
+    } else {
+      if (config.corpus_size == 0) {
+        return Status::InvalidArgument("corpus_size must be > 0");
+      }
+      MQA_ASSIGN_OR_RETURN(
+          KnowledgeBase kb,
+          c->world_->GenerateCorpus(config.corpus_size, config.kb_name));
+      c->kb_ = std::make_unique<KnowledgeBase>(std::move(kb));
+    }
     c->monitor_.Emit(
         ComponentStage::kDataPreprocessing,
-        "ingested " + std::to_string(c->kb_->size()) + " objects, " +
-            std::to_string(c->kb_->schema().num_modalities()) + " modalities",
+        std::string(saved != nullptr ? "restored " : "ingested ") +
+            std::to_string(c->kb_->size()) + " objects, " +
+            std::to_string(c->kb_->schema().num_modalities()) +
+            " modalities",
         timer.ElapsedMillis());
   } else {
     c->monitor_.Emit(ComponentStage::kDataPreprocessing,
@@ -139,19 +181,21 @@ Result<std::unique_ptr<Coordinator>> Coordinator::Create(
   } else if (config.llm != "none") {
     return Status::InvalidArgument("unknown llm: " + config.llm);
   }
-  const std::string llm_label = llm ? llm->name() : "none";
+  const std::string answer_status = "llm: " +
+                                    (llm ? llm->name() : std::string("none")) +
+                                    ", temperature " +
+                                    FormatDouble(config.temperature, 2);
   llm = MaybeWrapLlm(std::move(llm), config.resilience);
   c->answer_generator_ =
       std::make_unique<AnswerGenerator>(std::move(llm), config.temperature);
 
   if (!config.enable_knowledge_base) {
-    c->monitor_.Emit(ComponentStage::kAnswerGeneration,
-                     "llm: " + llm_label + ", temperature " +
-                         FormatDouble(config.temperature, 2));
+    c->monitor_.Emit(ComponentStage::kAnswerGeneration, answer_status);
     return c;
   }
 
-  // --- Vector representation: encoders + optional weight learning. ---
+  // --- Vector representation: encoders + optional weight learning, or
+  // the snapshot's encoded store and weights. ---
   timer.Reset();
   {
     Span span("build/represent");
@@ -160,48 +204,82 @@ Result<std::unique_ptr<Coordinator>> Coordinator::Create(
         MakeSimEncoderSet(c->world_.get(), config.encoder_preset,
                           config.embedding_dim));
     c->encoders_ = std::make_unique<EncoderSet>(std::move(encoders));
-    MQA_ASSIGN_OR_RETURN(
-        c->represented_,
-        RepresentCorpus(*c->kb_, *c->encoders_, config.learn_weights,
-                        config.learner, config.num_training_triplets,
-                        c->world_.get()));
+    if (saved != nullptr) {
+      c->store_ = std::make_shared<VectorStore>(std::move(saved->store));
+      c->weights_ = std::move(saved->weights);
+    } else {
+      MQA_ASSIGN_OR_RETURN(
+          RepresentedCorpus represented,
+          RepresentCorpus(*c->kb_, *c->encoders_, config.learn_weights,
+                          config.learner, config.num_training_triplets,
+                          c->world_.get()));
+      c->store_ = std::move(represented.store);
+      c->weights_ = std::move(represented.weights);
+      c->train_report_ = std::move(represented.train_report);
+    }
   }
   {
     std::string msg = "encoder " + config.encoder_preset + ", dim " +
                       std::to_string(config.embedding_dim) + ", weights [";
-    for (size_t m = 0; m < c->represented_.weights.size(); ++m) {
+    for (size_t m = 0; m < c->weights_.size(); ++m) {
       if (m > 0) msg += ", ";
-      msg += FormatDouble(c->represented_.weights[m], 3);
+      msg += FormatDouble(c->weights_[m], 3);
     }
-    msg += config.learn_weights ? "] (learned)" : "] (uniform)";
+    msg += saved != nullptr      ? "] (restored)"
+           : config.learn_weights ? "] (learned)"
+                                  : "] (uniform)";
     c->monitor_.Emit(ComponentStage::kVectorRepresentation, msg,
                      timer.ElapsedMillis());
   }
 
-  // --- Index construction through the retrieval framework. ---
+  // --- Index construction through the retrieval framework. The saved
+  // single-index graph cannot seed a sharded deployment (shards hold
+  // disjoint sub-indexes), so sharding always rebuilds. ---
   timer.Reset();
+  std::istream* saved_graph =
+      saved != nullptr && config.framework == "must" && !config.shard.enable
+          ? saved->index_blob
+          : nullptr;
   {
     Span span("build/index");
+    BuildReport report;
     MQA_ASSIGN_OR_RETURN(
-        c->framework_,
-        BuildFramework(config, c->represented_.store, c->represented_.weights,
-                       &c->build_report_));
+        std::unique_ptr<RetrievalFramework> fw,
+        BuildFramework(config, c->store_, c->weights_, saved_graph, &report));
+    c->InstallFramework(std::move(fw), report);
   }
   c->monitor_.Emit(ComponentStage::kIndexConstruction,
-                   "framework " + c->framework_->name() + ", index " +
-                       config.index.algorithm,
+                   saved_graph != nullptr
+                       ? "restored index from disk (no rebuild)"
+                   : saved != nullptr
+                       ? "rebuilt index " + config.index.algorithm
+                       : "framework " + c->framework_->name() + ", index " +
+                             config.index.algorithm,
                    timer.ElapsedMillis());
 
-  c->executor_ = std::make_unique<QueryExecutor>(
-      c->kb_.get(), c->encoders_.get(), c->framework_.get());
-  if (config.resilience.enable) {
-    c->executor_->EnableResilience(MakeEncoderRetry(config.resilience),
-                                   config.resilience.clock);
+  // Re-apply persisted tombstones: deleted objects' rows are still in the
+  // store (ids stay dense until compaction), the framework just must not
+  // surface them.
+  for (uint64_t id = 0; id < c->kb_->size(); ++id) {
+    if (c->kb_->IsDeleted(id)) {
+      MQA_RETURN_NOT_OK(c->framework_->Remove(static_cast<uint32_t>(id)));
+    }
   }
-  c->monitor_.Emit(ComponentStage::kAnswerGeneration,
-                   "llm: " + llm_label + ", temperature " +
-                       FormatDouble(config.temperature, 2));
+
+  c->monitor_.Emit(ComponentStage::kAnswerGeneration, answer_status);
   return c;
+}
+
+void Coordinator::InstallFramework(std::unique_ptr<RetrievalFramework> fw,
+                                   const BuildReport& report) {
+  framework_ = std::move(fw);
+  build_report_ = report;
+  executor_ = std::make_unique<QueryExecutor>(kb_.get(), encoders_.get(),
+                                              framework_.get());
+  if (config_.resilience.enable) {
+    executor_->EnableResilience(MakeEncoderRetry(config_.resilience),
+                                config_.resilience.clock);
+  }
 }
 
 Result<AnswerTurn> Coordinator::Ask(const UserQuery& query) {
@@ -210,7 +288,11 @@ Result<AnswerTurn> Coordinator::Ask(const UserQuery& query) {
 
 Result<AnswerTurn> Coordinator::AskWithState(const UserQuery& query,
                                              DialogueState* state) {
-  MetricsRegistry::Global().GetCounter("coordinator/turns")->Increment();
+  static Counter* const turns =
+      MetricsRegistry::Global().GetCounter("coordinator/turns");
+  static Counter* const degraded_turns =
+      MetricsRegistry::Global().GetCounter("coordinator/degraded_turns");
+  turns->Increment();
   std::shared_ptr<Trace> trace;
   if (config_.observability.trace_turns) {
     trace = std::make_shared<Trace>("turn", config_.observability.clock);
@@ -226,10 +308,7 @@ Result<AnswerTurn> Coordinator::AskWithState(const UserQuery& query,
   if (!result.ok()) return result;
   AnswerTurn turn = std::move(result).Value();
   turn.trace = std::move(trace);
-  if (turn.degraded) {
-    MetricsRegistry::Global().GetCounter("coordinator/degraded_turns")
-        ->Increment();
-  }
+  if (turn.degraded) degraded_turns->Increment();
   if (turn.trace != nullptr && config_.observability.explain_turns) {
     monitor_.Emit(ComponentStage::kCoordinator,
                   "per-turn breakdown:\n" + turn.trace->Render());
@@ -317,105 +396,6 @@ Result<AnswerTurn> Coordinator::RunTurn(const UserQuery& query,
   return turn;
 }
 
-Result<std::unique_ptr<Coordinator>> Coordinator::CreateFromState(
-    const MqaConfig& config, KnowledgeBase kb, VectorStore store,
-    std::vector<float> weights, std::istream* index_blob) {
-  if (!config.enable_knowledge_base) {
-    return Status::InvalidArgument(
-        "a persisted system always has a knowledge base");
-  }
-  std::unique_ptr<Coordinator> c(new Coordinator());
-  c->config_ = config;
-  c->InitCompaction();
-
-  if (config.observability.trace_build) {
-    c->build_trace_ =
-        std::make_shared<Trace>("restore", config.observability.clock);
-  }
-  std::optional<ScopedTrace> scoped_trace;
-  if (c->build_trace_ != nullptr) scoped_trace.emplace(c->build_trace_.get());
-  Span build_span("coordinator/restore");
-
-  Timer timer;
-  MQA_ASSIGN_OR_RETURN(World world, World::Create(config.world));
-  c->world_ = std::make_unique<World>(std::move(world));
-  c->kb_ = std::make_unique<KnowledgeBase>(std::move(kb));
-  c->monitor_.Emit(ComponentStage::kDataPreprocessing,
-                   "restored " + std::to_string(c->kb_->size()) +
-                       " objects from disk",
-                   timer.ElapsedMillis());
-
-  MQA_ASSIGN_OR_RETURN(
-      EncoderSet encoders,
-      MakeSimEncoderSet(c->world_.get(), config.encoder_preset,
-                        config.embedding_dim));
-  c->encoders_ = std::make_unique<EncoderSet>(std::move(encoders));
-  c->represented_.store = std::make_shared<VectorStore>(std::move(store));
-  c->represented_.weights = std::move(weights);
-  c->represented_.labels.reserve(c->kb_->size());
-  for (const Object& obj : c->kb_->objects()) {
-    c->represented_.labels.push_back(obj.concept_id);
-  }
-  c->monitor_.Emit(ComponentStage::kVectorRepresentation,
-                   "restored encoded store (" +
-                       std::to_string(c->represented_.store->size()) +
-                       " rows) and weights");
-
-  timer.Reset();
-  // The saved single-index blob cannot seed a sharded deployment (shards
-  // hold disjoint sub-indexes), so sharding always rebuilds.
-  if (index_blob != nullptr && config.framework == "must" &&
-      !config.shard.enable) {
-    MQA_ASSIGN_OR_RETURN(
-        std::unique_ptr<MustFramework> must,
-        MustFramework::CreateFromSavedIndex(c->represented_.store,
-                                            c->represented_.weights,
-                                            index_blob));
-    c->framework_ = std::move(must);
-    c->monitor_.Emit(ComponentStage::kIndexConstruction,
-                     "restored index from disk (no rebuild)",
-                     timer.ElapsedMillis());
-  } else {
-    MQA_ASSIGN_OR_RETURN(
-        c->framework_,
-        BuildFramework(config, c->represented_.store, c->represented_.weights,
-                       &c->build_report_));
-    c->monitor_.Emit(ComponentStage::kIndexConstruction,
-                     "rebuilt index " + config.index.algorithm,
-                     timer.ElapsedMillis());
-  }
-
-  // Re-apply persisted tombstones: deleted objects' rows are still in the
-  // store (ids stay dense until compaction), the framework just must not
-  // surface them.
-  for (uint64_t id = 0; id < c->kb_->size(); ++id) {
-    if (c->kb_->IsDeleted(id)) {
-      MQA_RETURN_NOT_OK(c->framework_->Remove(static_cast<uint32_t>(id)));
-    }
-  }
-
-  std::unique_ptr<LanguageModel> llm;
-  if (config.llm == "sim-llm") {
-    llm = std::make_unique<SimLlm>(config.seed);
-  } else if (config.llm != "none") {
-    return Status::InvalidArgument("unknown llm: " + config.llm);
-  }
-  const std::string llm_label = llm ? llm->name() : "none";
-  llm = MaybeWrapLlm(std::move(llm), config.resilience);
-  c->answer_generator_ =
-      std::make_unique<AnswerGenerator>(std::move(llm), config.temperature);
-  c->executor_ = std::make_unique<QueryExecutor>(
-      c->kb_.get(), c->encoders_.get(), c->framework_.get());
-  if (config.resilience.enable) {
-    c->executor_->EnableResilience(MakeEncoderRetry(config.resilience),
-                                   config.resilience.clock);
-  }
-  c->monitor_.Emit(ComponentStage::kAnswerGeneration,
-                   "llm: " + llm_label + ", temperature " +
-                       FormatDouble(config.temperature, 2));
-  return c;
-}
-
 Result<uint64_t> Coordinator::IngestObject(Object object) {
   if (!config_.enable_knowledge_base) {
     return Status::FailedPrecondition("knowledge base is disabled");
@@ -440,8 +420,7 @@ Result<uint64_t> Coordinator::IngestObject(Object object) {
   Timer timer;
   MQA_ASSIGN_OR_RETURN(uint64_t id, kb_->Ingest(std::move(object)));
   MQA_ASSIGN_OR_RETURN(MultiVector mv, encoders_->EncodeObject(kb_->at(id)));
-  MQA_RETURN_NOT_OK(represented_.store->AddMultiVector(mv).status());
-  represented_.labels.push_back(kb_->at(id).concept_id);
+  MQA_RETURN_NOT_OK(store_->AddMultiVector(mv).status());
   if (sharded != nullptr) {
     MQA_RETURN_NOT_OK(sharded->IngestAppended(config_.index.graph));
   } else {
@@ -505,11 +484,11 @@ Status Coordinator::CompactNow() {
   // of it succeeded, so a failure (injected or real) leaves the system
   // serving exactly as before — with tombstones, but consistent.
   MQA_RETURN_NOT_OK(FaultInjector::Global().Check("compaction/step"));
-  VectorStore staged(represented_.store->schema());
+  VectorStore staged(store_->schema());
   staged.Reserve(live);
-  for (uint32_t id = 0; id < represented_.store->size(); ++id) {
+  for (uint32_t id = 0; id < store_->size(); ++id) {
     if (remap[id] == kTombstonedId) continue;
-    MQA_RETURN_NOT_OK(staged.Add(represented_.store->Row(id)).status());
+    MQA_RETURN_NOT_OK(staged.Add(store_->Row(id)).status());
   }
   KnowledgeBase compacted_kb = kb_->CompactLive(remap, live);
 
@@ -518,11 +497,11 @@ Status Coordinator::CompactNow() {
   MQA_RETURN_NOT_OK(FaultInjector::Global().Check("compaction/step"));
   if (in_place) {
     // Commit. The framework's distance computers read the store through a
-    // borrowed pointer, so rewriting *represented_.store in place keeps
+    // borrowed pointer, so rewriting *store_ in place keeps
     // them valid; CompactTombstones then swaps in the spliced graph. Both
     // steps were validated up front and do not fail in practice; an error
     // here is surfaced so the durability layer can fail closed.
-    *represented_.store = std::move(staged);
+    *store_ = std::move(staged);
     MQA_RETURN_NOT_OK(
         must->CompactTombstones(remap, live, config_.index.graph));
   } else {
@@ -531,25 +510,13 @@ Status Coordinator::CompactNow() {
     // complete before anything is committed.
     auto new_store = std::make_shared<VectorStore>(std::move(staged));
     BuildReport report;
-    MQA_ASSIGN_OR_RETURN(
-        std::unique_ptr<RetrievalFramework> rebuilt,
-        BuildFramework(config_, new_store, represented_.weights, &report));
-    represented_.store = std::move(new_store);
-    framework_ = std::move(rebuilt);
-    build_report_ = report;
-    executor_ = std::make_unique<QueryExecutor>(kb_.get(), encoders_.get(),
-                                                framework_.get());
-    if (config_.resilience.enable) {
-      executor_->EnableResilience(MakeEncoderRetry(config_.resilience),
-                                  config_.resilience.clock);
-    }
+    MQA_ASSIGN_OR_RETURN(std::unique_ptr<RetrievalFramework> rebuilt,
+                         BuildFramework(config_, new_store, weights_,
+                                        /*saved_graph=*/nullptr, &report));
+    store_ = std::move(new_store);
+    InstallFramework(std::move(rebuilt), report);
   }
   *kb_ = std::move(compacted_kb);
-  represented_.labels.clear();
-  represented_.labels.reserve(kb_->size());
-  for (const Object& obj : kb_->objects()) {
-    represented_.labels.push_back(obj.concept_id);
-  }
   ++compactions_;
   monitor_.Emit(ComponentStage::kIndexConstruction,
                 "compacted " + std::to_string(evicted) + " tombstones (" +
@@ -557,14 +524,6 @@ Status Coordinator::CompactNow() {
                     (in_place ? "in-place splice" : "full rebuild") + ")",
                 timer.ElapsedMillis());
   return Status::OK();
-}
-
-void Coordinator::InitCompaction() {
-  CircuitBreakerConfig bc;
-  bc.failure_threshold = config_.compaction.breaker_failure_threshold;
-  bc.open_duration_ms = config_.compaction.breaker_open_ms;
-  compaction_breaker_ =
-      std::make_unique<CircuitBreaker>(bc, config_.resilience.clock);
 }
 
 BreakerState Coordinator::compaction_breaker_state() const {
@@ -608,18 +567,11 @@ Status Coordinator::SetFramework(const std::string& name) {
   BuildReport report;
   MqaConfig switched = config_;
   switched.framework = name;
-  auto fw = BuildFramework(switched, represented_.store, represented_.weights,
-                           &report);
-  if (!fw.ok()) return fw.status();
-  framework_ = std::move(fw).Value();
-  build_report_ = report;
+  MQA_ASSIGN_OR_RETURN(std::unique_ptr<RetrievalFramework> fw,
+                       BuildFramework(switched, store_, weights_,
+                                      /*saved_graph=*/nullptr, &report));
   config_.framework = name;
-  executor_ = std::make_unique<QueryExecutor>(kb_.get(), encoders_.get(),
-                                              framework_.get());
-  if (config_.resilience.enable) {
-    executor_->EnableResilience(MakeEncoderRetry(config_.resilience),
-                                config_.resilience.clock);
-  }
+  InstallFramework(std::move(fw), report);
   monitor_.Emit(ComponentStage::kIndexConstruction,
                 "switched framework to " + name, timer.ElapsedMillis());
   return Status::OK();
@@ -630,7 +582,7 @@ Status Coordinator::SetWeights(std::vector<float> weights) {
     return Status::FailedPrecondition("no retrieval framework configured");
   }
   MQA_RETURN_NOT_OK(framework_->SetWeights(weights));
-  represented_.weights = std::move(weights);
+  weights_ = std::move(weights);
   return Status::OK();
 }
 

@@ -125,14 +125,12 @@ class Coordinator {
   const KnowledgeBase& kb() const { return *kb_; }
   const EncoderSet& encoders() const { return *encoders_; }
   RetrievalFramework* framework() { return framework_.get(); }
-  const std::vector<float>& weights() const { return represented_.weights; }
-  const VectorStore& store() const { return *represented_.store; }
+  const std::vector<float>& weights() const { return weights_; }
+  const VectorStore& store() const { return *store_; }
   const RetrievalFramework* framework_const() const {
     return framework_.get();
   }
-  const WeightTrainReport& train_report() const {
-    return represented_.train_report;
-  }
+  const WeightTrainReport& train_report() const { return train_report_; }
   const BuildReport& build_report() const { return build_report_; }
   AnswerGenerator* answer_generator() { return answer_generator_.get(); }
   /// Null when the knowledge base is disabled (LLM-only mode).
@@ -148,6 +146,27 @@ class Coordinator {
  private:
   Coordinator() = default;
 
+  /// What CreateFromState restores from disk instead of generating.
+  struct SavedState {
+    KnowledgeBase kb;
+    VectorStore store;
+    std::vector<float> weights;
+    std::istream* index_blob;  ///< saved MUST graph, or null to rebuild
+  };
+
+  /// The one build path behind Create (`saved` null: generate the corpus,
+  /// encode it, learn weights, build the index) and CreateFromState
+  /// (`saved` supplies the corpus, store, weights and optionally the
+  /// graph). Everything else — SIMD pinning, LLM, framework, clocks,
+  /// executor — is set up identically.
+  static Result<std::unique_ptr<Coordinator>> Assemble(const MqaConfig& config,
+                                                       SavedState* saved);
+
+  /// Makes `fw` the active framework and rebuilds the query executor
+  /// over it (with encoder resilience when configured).
+  void InstallFramework(std::unique_ptr<RetrievalFramework> fw,
+                        const BuildReport& report);
+
   /// The body of Ask(): runs under the turn's ambient trace. A null
   /// `state` uses the coordinator's single-conversation members.
   Result<AnswerTurn> RunTurn(const UserQuery& query, DialogueState* state);
@@ -156,15 +175,14 @@ class Coordinator {
   /// ever best-effort — failures surface as degraded status events.
   void MaybeCompact();
 
-  /// Builds the compaction breaker from config (Create/CreateFromState).
-  void InitCompaction();
-
   MqaConfig config_;
   StatusMonitor monitor_;
   std::unique_ptr<World> world_;
   std::unique_ptr<KnowledgeBase> kb_;
   std::unique_ptr<EncoderSet> encoders_;
-  RepresentedCorpus represented_;
+  std::shared_ptr<VectorStore> store_;  ///< one encoded row per kb object
+  std::vector<float> weights_;          ///< default modality weights
+  WeightTrainReport train_report_;      ///< empty unless weights were learned
   std::unique_ptr<RetrievalFramework> framework_;
   BuildReport build_report_;
   std::shared_ptr<Trace> build_trace_;

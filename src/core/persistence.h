@@ -15,6 +15,7 @@ namespace mqa {
 ///   <dir>/store.bin    encoded multi-vector store
 ///   <dir>/index.bin    the navigation graph (flat graph indexes only)
 ///   <dir>/config.txt   the MqaConfig in config-parser syntax
+///                      (MqaConfigToText, see config_parser.h)
 ///   <dir>/weights.txt  learned modality weights
 ///
 /// Only the MUST framework over a flat graph index ("kgraph", "nsg",
@@ -34,14 +35,10 @@ Result<std::unique_ptr<Coordinator>> LoadSystemState(const std::string& dir);
 
 /// LoadSystemState with a caller-supplied config instead of the saved
 /// config.txt. The durable system uses this to reopen snapshots under the
-/// live configuration — preserving non-serializable settings (clocks,
-/// resilience options) that the text round-trip would drop.
+/// live configuration — preserving settings the config text cannot carry
+/// (clocks and other fields no config key names).
 Result<std::unique_ptr<Coordinator>> LoadSystemStateWithConfig(
     const MqaConfig& config, const std::string& dir);
-
-/// Serializes a config back into config-parser syntax (the subset of keys
-/// the parser understands; see config_parser.h).
-std::string MqaConfigToText(const MqaConfig& config);
 
 }  // namespace mqa
 

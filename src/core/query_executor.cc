@@ -163,8 +163,15 @@ Result<RetrievalQuery> QueryExecutor::EncodeUserQuery(
 Result<QueryOutcome> QueryExecutor::Execute(const UserQuery& query,
                                             const SearchParams& params) {
   Span span("query/execute");
-  MetricsRegistry& metrics = MetricsRegistry::Global();
-  metrics.GetCounter("query/executions")->Increment();
+  static Counter* const executions =
+      MetricsRegistry::Global().GetCounter("query/executions");
+  static Counter* const hops =
+      MetricsRegistry::Global().GetCounter("query/hops");
+  static Counter* const dist_comps =
+      MetricsRegistry::Global().GetCounter("query/dist_comps");
+  static Counter* const degraded =
+      MetricsRegistry::Global().GetCounter("query/degraded");
+  executions->Increment();
   if (query.deadline_micros > 0) {
     Clock* clock = clock_ != nullptr ? clock_ : SystemClock();
     if (clock->NowMicros() >= query.deadline_micros) {
@@ -210,10 +217,8 @@ Result<QueryOutcome> QueryExecutor::Execute(const UserQuery& query,
       return retrieved.status();
     }
   }
-  metrics.GetCounter("query/hops")
-      ->Increment(outcome.retrieval.stats.hops);
-  metrics.GetCounter("query/dist_comps")
-      ->Increment(outcome.retrieval.stats.dist_comps);
+  hops->Increment(outcome.retrieval.stats.hops);
+  dist_comps->Increment(outcome.retrieval.stats.dist_comps);
   if (outcome.retrieval.stats.partial) {
     outcome.degradation.push_back(
         "disk index served partial (cache-only) results after " +
@@ -229,7 +234,7 @@ Result<QueryOutcome> QueryExecutor::Execute(const UserQuery& query,
         ": results may be missing entries from unreachable shards");
   }
   if (!outcome.degradation.empty()) {
-    metrics.GetCounter("query/degraded")->Increment();
+    degraded->Increment();
   }
   // Preference markers: items sharing the clicked result's concept are
   // flagged for the answer generator.

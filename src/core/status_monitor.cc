@@ -27,6 +27,7 @@ void StatusMonitor::Emit(StatusEvent event) {
   {
     MutexLock lock(&mu_);
     history_.push_back(event);
+    if (history_.size() > kMaxHistory) history_.pop_front();
     callback = callback_;
   }
   if (callback) callback(event);

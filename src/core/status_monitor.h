@@ -1,6 +1,8 @@
 #ifndef MQA_CORE_STATUS_MONITOR_H_
 #define MQA_CORE_STATUS_MONITOR_H_
 
+#include <cstddef>
+#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
@@ -34,7 +36,9 @@ struct StatusEvent {
 
 /// Collects milestone events ("data preprocessing done: 5000 objects, 2
 /// modalities", ...) and forwards them to an optional subscriber — the
-/// backend half of the paper's status monitoring panel.
+/// backend half of the paper's status monitoring panel. Only the newest
+/// kMaxHistory events are kept: every served turn emits a few, so an
+/// unbounded history would grow with uptime.
 ///
 /// Thread-safe: pipeline stages running on the DAG executor may Emit
 /// concurrently, so the history is mutex-guarded and `history()` returns a
@@ -44,6 +48,8 @@ struct StatusEvent {
 class StatusMonitor {
  public:
   using Callback = std::function<void(const StatusEvent&)>;
+
+  static constexpr size_t kMaxHistory = 1024;
 
   /// Registers a subscriber (replaces any previous one).
   void Subscribe(Callback callback) {
@@ -60,10 +66,10 @@ class StatusMonitor {
   void EmitDegraded(ComponentStage stage, std::string message,
                     double elapsed_ms = 0.0);
 
-  /// Snapshot of all events recorded so far.
+  /// Snapshot of the retained events, oldest first.
   std::vector<StatusEvent> history() const {
     MutexLock lock(&mu_);
-    return history_;
+    return {history_.begin(), history_.end()};
   }
 
   void Clear() {
@@ -77,7 +83,7 @@ class StatusMonitor {
  private:
   mutable Mutex mu_;
   Callback callback_ MQA_GUARDED_BY(mu_);
-  std::vector<StatusEvent> history_ MQA_GUARDED_BY(mu_);
+  std::deque<StatusEvent> history_ MQA_GUARDED_BY(mu_);
 };
 
 }  // namespace mqa

@@ -75,6 +75,13 @@ uint64_t HashBytes(const void* data, size_t n) {
   return h;
 }
 
+/// Shared by both encoder kinds; resolved once (encoding is per turn).
+Counter* EncodeCalls() {
+  static Counter* const calls =
+      MetricsRegistry::Global().GetCounter("encoder/encode_calls");
+  return calls;
+}
+
 }  // namespace
 
 SimTextEncoder::SimTextEncoder(const World* world, SimEncoderConfig config)
@@ -85,7 +92,7 @@ SimTextEncoder::SimTextEncoder(const World* world, SimEncoderConfig config)
 
 Result<Vector> SimTextEncoder::Encode(const Payload& payload) {
   Span span("encoder/sim-text");
-  MetricsRegistry::Global().GetCounter("encoder/encode_calls")->Increment();
+  EncodeCalls()->Increment();
   // Chaos hook: a GPU-hosted text encoder going down ("encoder/sim-text").
   // The enabled() guard keeps the disarmed fast path allocation-free.
   if (FaultInjector::Global().enabled()) {
@@ -113,7 +120,7 @@ SimFeatureEncoder::SimFeatureEncoder(const World* world,
 
 Result<Vector> SimFeatureEncoder::Encode(const Payload& payload) {
   Span span(ActiveTrace() != nullptr ? "encoder/" + name_ : std::string());
-  MetricsRegistry::Global().GetCounter("encoder/encode_calls")->Increment();
+  EncodeCalls()->Increment();
   // Chaos hook: e.g. "encoder/sim-image" for the ResNet/CLIP-image slot.
   if (FaultInjector::Global().enabled()) {
     MQA_RETURN_NOT_OK(FaultInjector::Global().Check("encoder/" + name_));

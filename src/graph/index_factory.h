@@ -23,11 +23,12 @@ struct IndexConfig {
   DiskIndexConfig disk;    ///< parameters when algorithm == "starling"
 
   /// Bit-sketch popcount prefilter in front of the weighted multi-vector
-  /// distance (in-memory indexes only; see vector/sketch.h). At the
-  /// default scale of 1.0 it rejects exactly what the incremental-scanning
-  /// bound would reject, so recall is provably unchanged; scale > 1 trades
+  /// distance (in-memory indexes only; see vector/sketch.h). Off by
+  /// default: at the default scale of 1.0 it rejects exactly what the
+  /// incremental-scanning bound would reject, so recall is provably
+  /// unchanged but the sketch test is pure overhead; scale > 1 trades
   /// recall for more rejects.
-  bool sketch_prefilter = true;
+  bool sketch_prefilter = false;
   float sketch_scale = 1.0f;
 };
 

@@ -40,8 +40,8 @@ Result<Vector> FlattenQuery(const VectorSchema& schema,
 
 Result<std::unique_ptr<MustFramework>> MustFramework::Create(
     std::shared_ptr<const VectorStore> corpus, std::vector<float> weights,
-    const IndexConfig& index_config, bool enable_pruning,
-    BuildReport* report) {
+    const IndexConfig& index_config, bool enable_pruning, BuildReport* report,
+    std::istream* saved_graph) {
   if (corpus == nullptr || corpus->size() == 0) {
     return Status::InvalidArgument("empty corpus");
   }
@@ -61,9 +61,14 @@ Result<std::unique_ptr<MustFramework>> MustFramework::Create(
   fw->corpus_ = std::move(corpus);
   fw->weights_ = std::move(weights);
   fw->pruning_ = enable_pruning;
-  MQA_ASSIGN_OR_RETURN(fw->index_,
-                       CreateIndex(index_config, fw->corpus_.get(),
-                                   std::move(dist), report));
+  if (saved_graph != nullptr) {
+    MQA_ASSIGN_OR_RETURN(fw->index_,
+                         GraphIndex::Load(*saved_graph, std::move(dist)));
+  } else {
+    MQA_ASSIGN_OR_RETURN(fw->index_,
+                         CreateIndex(index_config, fw->corpus_.get(),
+                                     std::move(dist), report));
+  }
   // For disk-resident indexes the source distance computer is destroyed
   // with the temporary in-memory graph; the disk index owns its own copy.
   fw->disk_ = dynamic_cast<DiskGraphIndex*>(fw->index_.get());
@@ -76,36 +81,6 @@ Result<std::unique_ptr<MustFramework>> MustFramework::Create(
     fw->sketches_->Rebuild(*fw->corpus_);
     fw->dist_->SetSketches(fw->sketches_.get(), fw->sketch_scale_);
   }
-  return fw;
-}
-
-Result<std::unique_ptr<MustFramework>> MustFramework::CreateFromSavedIndex(
-    std::shared_ptr<const VectorStore> corpus, std::vector<float> weights,
-    std::istream* index_blob, bool enable_pruning) {
-  if (corpus == nullptr || corpus->size() == 0) {
-    return Status::InvalidArgument("empty corpus");
-  }
-  if (index_blob == nullptr) {
-    return Status::InvalidArgument("no index blob to load");
-  }
-  weights = NormalizeWeights(std::move(weights));
-  MQA_ASSIGN_OR_RETURN(
-      WeightedMultiDistance wdist,
-      WeightedMultiDistance::Create(corpus->schema(), weights));
-  auto dist = std::make_unique<MultiVectorDistanceComputer>(
-      corpus.get(), std::move(wdist), enable_pruning);
-  MultiVectorDistanceComputer* dist_raw = dist.get();
-  MQA_ASSIGN_OR_RETURN(std::unique_ptr<GraphIndex> index,
-                       GraphIndex::Load(*index_blob, std::move(dist)));
-  std::unique_ptr<MustFramework> fw(new MustFramework());
-  fw->corpus_ = std::move(corpus);
-  fw->weights_ = std::move(weights);
-  fw->pruning_ = enable_pruning;
-  fw->index_ = std::move(index);
-  fw->dist_ = dist_raw;
-  fw->sketches_ = std::make_unique<BitSketchIndex>(fw->corpus_->schema());
-  fw->sketches_->Rebuild(*fw->corpus_);
-  fw->dist_->SetSketches(fw->sketches_.get(), fw->sketch_scale_);
   return fw;
 }
 
@@ -173,13 +148,15 @@ Result<RetrievalResult> MustFramework::Retrieve(const RetrievalQuery& query,
   // and injected latency spikes show up in retrieval timings.
   const int64_t start_micros = clock()->NowMicros();
   const SearchParams effective = WithoutTombstones(params);
-  MQA_ASSIGN_OR_RETURN(
-      result.neighbors,
-      index_->Search(flat.data(), effective, &result.stats));
+  Result<std::vector<Neighbor>> found =
+      index_->Search(flat.data(), effective, &result.stats);
   result.latency_ms =
       static_cast<double>(clock()->NowMicros() - start_micros) / 1e3;
-  // Restore the build-time weights for subsequent callers.
+  // Restore the build-time weights before any return, a failed search's
+  // too: live ingestion links new nodes under whatever weights the shared
+  // distance computer holds.
   MQA_RETURN_NOT_OK(ApplyWeights(weights_));
+  MQA_ASSIGN_OR_RETURN(result.neighbors, std::move(found));
   return result;
 }
 

@@ -19,17 +19,15 @@ class MustFramework : public RetrievalFramework {
  public:
   /// Builds the unified index over the encoded corpus with the given
   /// modality weights (typically from the weight learner). `enable_pruning`
-  /// toggles the incremental-scanning distance (ablation knob).
+  /// toggles the incremental-scanning distance (ablation knob). With a
+  /// non-null `saved_graph` (a GraphIndex blob written by GraphIndex::Save,
+  /// see core/persistence.h) the flat graph is loaded instead of built;
+  /// everything else — sketches, pruning, weights — follows `index_config`
+  /// exactly as for a fresh build.
   static Result<std::unique_ptr<MustFramework>> Create(
       std::shared_ptr<const VectorStore> corpus, std::vector<float> weights,
       const IndexConfig& index_config, bool enable_pruning = true,
-      BuildReport* report = nullptr);
-
-  /// Restores a framework from a GraphIndex blob written by
-  /// GraphIndex::Save (see core/persistence.h) — no rebuild.
-  static Result<std::unique_ptr<MustFramework>> CreateFromSavedIndex(
-      std::shared_ptr<const VectorStore> corpus, std::vector<float> weights,
-      std::istream* index_blob, bool enable_pruning = true);
+      BuildReport* report = nullptr, std::istream* saved_graph = nullptr);
 
   Result<RetrievalResult> Retrieve(const RetrievalQuery& query,
                                    const SearchParams& params) override;

@@ -19,6 +19,28 @@ CircuitBreakerConfig MakeBreakerConfig(const ServingOptions& options) {
   return config;
 }
 
+/// The registry metrics the serving path records, resolved once so a turn
+/// pays a relaxed atomic per event instead of a registry lookup.
+struct ServerMetrics {
+  MetricsRegistry& r = MetricsRegistry::Global();
+  Counter* submitted = r.GetCounter("server/submitted");
+  Counter* accepted = r.GetCounter("server/accepted");
+  Counter* completed = r.GetCounter("server/completed");
+  Counter* failed = r.GetCounter("server/failed");
+  Counter* shed_breaker = r.GetCounter("server/shed_breaker");
+  Counter* shed_queue_full = r.GetCounter("server/shed_queue_full");
+  Counter* shed_deadline = r.GetCounter("server/shed_deadline");
+  Gauge* queue_depth = r.GetGauge("server/queue_depth");
+  Gauge* open_sessions = r.GetGauge("server/open_sessions");
+  Histogram* queue_wait_ms = r.GetHistogram("server/queue_wait_ms");
+  Histogram* turn_latency_ms = r.GetHistogram("server/turn_latency_ms");
+};
+
+const ServerMetrics& Metrics() {
+  static const ServerMetrics metrics;
+  return metrics;
+}
+
 }  // namespace
 
 Result<std::unique_ptr<Server>> Server::Create(const MqaConfig& config) {
@@ -114,8 +136,7 @@ uint64_t Server::OpenSession() {
   MutexLock lock(&mu_);
   session->id = next_session_id_++;
   sessions_[session->id] = session;
-  MetricsRegistry::Global().GetGauge("server/open_sessions")
-      ->Set(static_cast<double>(sessions_.size()));
+  Metrics().open_sessions->Set(static_cast<double>(sessions_.size()));
   return session->id;
 }
 
@@ -124,8 +145,7 @@ Status Server::CloseSession(uint64_t session_id) {
   if (sessions_.erase(session_id) == 0) {
     return Status::NotFound("unknown session " + std::to_string(session_id));
   }
-  MetricsRegistry::Global().GetGauge("server/open_sessions")
-      ->Set(static_cast<double>(sessions_.size()));
+  Metrics().open_sessions->Set(static_cast<double>(sessions_.size()));
   return Status::OK();
 }
 
@@ -187,14 +207,14 @@ Status Server::Submit(uint64_t session_id, UserQuery query, AskCallback done) {
   if (session == nullptr) {
     return Status::NotFound("unknown session " + std::to_string(session_id));
   }
-  MetricsRegistry& metrics = MetricsRegistry::Global();
-  metrics.GetCounter("server/submitted")->Increment();
+  const ServerMetrics& metrics = Metrics();
+  metrics.submitted->Increment();
 
   // Overload policy step 1: the breaker sheds at the door while open.
   Status admitted = breaker_.Admit();
   if (!admitted.ok()) {
     shed_breaker_.fetch_add(1, std::memory_order_relaxed);
-    metrics.GetCounter("server/shed_breaker")->Increment();
+    metrics.shed_breaker->Increment();
     return admitted;
   }
 
@@ -216,15 +236,14 @@ Status Server::Submit(uint64_t session_id, UserQuery query, AskCallback done) {
   // that eventually trips it.
   if (!queue_.TryPush(std::move(turn))) {
     shed_queue_full_.fetch_add(1, std::memory_order_relaxed);
-    metrics.GetCounter("server/shed_queue_full")->Increment();
+    metrics.shed_queue_full->Increment();
     breaker_.RecordFailure();
     return Status::ResourceExhausted("server request queue is full (capacity " +
                                      std::to_string(queue_.capacity()) + ")");
   }
   accepted_.fetch_add(1, std::memory_order_relaxed);
-  metrics.GetCounter("server/accepted")->Increment();
-  metrics.GetGauge("server/queue_depth")
-      ->Set(static_cast<double>(queue_.size()));
+  metrics.accepted->Increment();
+  metrics.queue_depth->Set(static_cast<double>(queue_.size()));
   return Status::OK();
 }
 
@@ -258,12 +277,11 @@ void Server::WorkerLoop() {
 }
 
 void Server::RunTurn(PendingTurn turn) {
-  MetricsRegistry& metrics = MetricsRegistry::Global();
+  const ServerMetrics& metrics = Metrics();
   const int64_t start_micros = clock()->NowMicros();
-  metrics.GetHistogram("server/queue_wait_ms")
-      ->Record(static_cast<double>(start_micros - turn.enqueue_micros) / 1e3);
-  metrics.GetGauge("server/queue_depth")
-      ->Set(static_cast<double>(queue_.size()));
+  metrics.queue_wait_ms->Record(
+      static_cast<double>(start_micros - turn.enqueue_micros) / 1e3);
+  metrics.queue_depth->Set(static_cast<double>(queue_.size()));
 
   // Overload policy step 3: a turn whose deadline passed while it sat in
   // the queue is shed before any work is spent on it. This, too, feeds
@@ -271,7 +289,7 @@ void Server::RunTurn(PendingTurn turn) {
   // than the latency budget.
   if (turn.deadline_micros > 0 && start_micros >= turn.deadline_micros) {
     shed_deadline_.fetch_add(1, std::memory_order_relaxed);
-    metrics.GetCounter("server/shed_deadline")->Increment();
+    metrics.shed_deadline->Increment();
     breaker_.RecordFailure();
     turn.done(Status::DeadlineExceeded("turn deadline expired while queued"));
     return;
@@ -297,17 +315,15 @@ void Server::RunTurn(PendingTurn turn) {
     }
   }
 
-  metrics.GetHistogram("server/turn_latency_ms")
-      ->Record(static_cast<double>(clock()->NowMicros() -
-                                   turn.enqueue_micros) /
-               1e3);
+  metrics.turn_latency_ms->Record(
+      static_cast<double>(clock()->NowMicros() - turn.enqueue_micros) / 1e3);
   if (result.ok()) {
     completed_.fetch_add(1, std::memory_order_relaxed);
-    metrics.GetCounter("server/completed")->Increment();
+    metrics.completed->Increment();
     breaker_.RecordSuccess();
   } else {
     failed_.fetch_add(1, std::memory_order_relaxed);
-    metrics.GetCounter("server/failed")->Increment();
+    metrics.failed->Increment();
     // The breaker is strictly an *overload* signal: mid-flight deadline
     // expiry counts against it, any other application error proves the
     // serving plane itself is keeping up.

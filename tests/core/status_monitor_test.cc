@@ -49,6 +49,25 @@ TEST(StatusMonitorTest, ClearEmptiesHistory) {
   EXPECT_EQ(monitor.Render(), "");
 }
 
+TEST(StatusMonitorTest, HistoryKeepsOnlyTheNewestEvents) {
+  StatusMonitor monitor;
+  std::vector<std::string> seen;
+  monitor.Subscribe([&seen](const StatusEvent& e) {
+    seen.push_back(e.message);
+  });
+  const size_t total = StatusMonitor::kMaxHistory + 10;
+  for (size_t i = 0; i < total; ++i) {
+    monitor.Emit(ComponentStage::kQueryExecution, std::to_string(i));
+  }
+  // The subscriber sees every event; the history drops the oldest.
+  EXPECT_EQ(seen.size(), total);
+  const std::vector<StatusEvent> history = monitor.history();
+  ASSERT_EQ(history.size(), StatusMonitor::kMaxHistory);
+  for (size_t i = 0; i < history.size(); ++i) {
+    EXPECT_EQ(history[i].message, std::to_string(i + 10));
+  }
+}
+
 TEST(StatusMonitorTest, StageNamesAreDistinct) {
   std::set<std::string> names;
   for (ComponentStage stage :

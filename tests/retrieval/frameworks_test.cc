@@ -130,6 +130,38 @@ TEST_F(FrameworksTest, MustQueryWeightOverrideChangesResults) {
   EXPECT_EQ((*fw)->weights().size(), 2u);
 }
 
+TEST_F(FrameworksTest, MustFailedOverrideQueryDoesNotLeakIntoIngestion) {
+  // Twin frameworks over one mutable store. One of them serves a
+  // weight-override query that fails (k = 0); live ingestion must then
+  // link the new node exactly as in the twin that never saw that query.
+  const VectorStore& full = *corpus_->represented.store;
+  auto store = std::make_shared<VectorStore>(full.schema());
+  const uint32_t new_id = full.size() - 1;
+  for (uint32_t id = 0; id < new_id; ++id) {
+    ASSERT_TRUE(store->Add(full.Row(id)).ok());
+  }
+  const IndexConfig config = SmallIndex();
+  auto queried = MustFramework::Create(store, corpus_->represented.weights,
+                                       config);
+  auto twin = MustFramework::Create(store, corpus_->represented.weights,
+                                    config);
+  ASSERT_TRUE(queried.ok() && twin.ok());
+
+  Rng rng(3);
+  RetrievalQuery rq = TextQueryFor(0, &rng);
+  rq.weights = {2.0f, 0.05f};
+  SearchParams params;
+  params.k = 0;
+  ASSERT_FALSE((*queried)->Retrieve(rq, params).ok());
+
+  ASSERT_TRUE(store->Add(full.Row(new_id)).ok());
+  ASSERT_TRUE((*queried)->IngestAppended(config.graph).ok());
+  ASSERT_TRUE((*twin)->IngestAppended(config.graph).ok());
+  ASSERT_NE((*queried)->flat_graph_index(), nullptr);
+  EXPECT_EQ((*queried)->flat_graph_index()->graph().neighbors(new_id),
+            (*twin)->flat_graph_index()->graph().neighbors(new_id));
+}
+
 TEST_F(FrameworksTest, MustDistanceStatsAccumulateWithPruning) {
   auto fw = MustFramework::Create(corpus_->represented.store,
                                   corpus_->represented.weights, SmallIndex(),
