@@ -79,8 +79,9 @@ void BM_WeightedMultiPruned(benchmark::State& state) {
   const Vector b = RandomVector(schema.TotalDim(), &rng);
   const float exact = dist->Exact(a.data(), b.data());
   const float bound = exact * bound_percent / 100.0f;
+  const ModalityWeights w = dist->QueryWeights({}).Value();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dist->Pruned(a.data(), b.data(), bound,
+    benchmark::DoNotOptimize(dist->Pruned(a.data(), b.data(), bound, w,
                                           nullptr));
   }
   state.SetItemsProcessed(state.iterations());
@@ -103,9 +104,10 @@ void BM_WeightedMultiExactBatch(benchmark::State& state) {
   }
   const Vector q = RandomVector(schema.TotalDim(), &rng);
   std::vector<float> out(n);
+  const ModalityWeights w = dist->QueryWeights({}).Value();
   for (auto _ : state) {
     dist->ExactBatch(q.data(), store.data(0), store.row_stride(), n,
-                     out.data());
+                     out.data(), w);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * n);
@@ -138,10 +140,10 @@ void BM_SketchPrefilterScan(benchmark::State& state) {
   Vector q = store.Row(0);
   for (auto& x : q) x += static_cast<float>(rng.Gaussian()) * 1e-3f;
   for (auto _ : state) {
-    dist.BeginQuery(q.data());
+    QueryContext ctx = dist.StartQuery(q.data(), {}).Value();
     float best = std::numeric_limits<float>::max();
     for (uint32_t i = 0; i < n; ++i) {
-      const float d = dist.DistanceWithBound(q.data(), i, best);
+      const float d = dist.DistanceWithBound(&ctx, i, best);
       if (d < best) best = d;
     }
     benchmark::DoNotOptimize(best);
@@ -161,9 +163,10 @@ void BM_FlatStoreScan(benchmark::State& state) {
   }
   const Vector q = RandomVector(64, &rng);
   FlatDistanceComputer dist(&store, Metric::kL2);
+  QueryContext ctx = dist.StartQuery(q.data(), {}).Value();
   for (auto _ : state) {
     float sum = 0;
-    for (uint32_t i = 0; i < n; ++i) sum += dist.Distance(q.data(), i);
+    for (uint32_t i = 0; i < n; ++i) sum += dist.Distance(&ctx, i);
     benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(state.iterations() * n);

@@ -15,8 +15,8 @@ inline constexpr uint32_t kTombstonedId = 0xFFFFFFFFu;
 /// A dense set of logically deleted ids over a corpus with ids [0, size).
 /// Deletion in MQA is two-phase: a tombstone hides the object from results
 /// immediately (searches filter it out while the graph stays navigable),
-/// and a later compaction pass physically evicts it. Not thread-safe; the
-/// owner serializes mutation with retrieval like all framework state.
+/// and a later compaction pass physically evicts it. Concurrent readers are
+/// safe; the owner keeps mutation apart from retrieval.
 class TombstoneSet {
  public:
   /// Marks `id` deleted. `size` is the current corpus size (ids must stay

@@ -75,10 +75,9 @@ class Coordinator {
 
   /// Ask() against caller-owned dialogue state. With distinct `state`
   /// objects this is safe to call from concurrent threads (the serving
-  /// path): all per-turn mutable state lives in `state`, and concurrent
-  /// framework access must be serialized by execution hooks (see
-  /// QueryExecutor::SetExecutionHooks; the Server installs batchers).
-  /// `state` must be non-null and externally serialized per conversation.
+  /// path): all per-turn mutable state lives in `state`, and the framework's
+  /// Retrieve is thread-safe. `state` must be non-null and externally
+  /// serialized per conversation.
   Result<AnswerTurn> AskWithState(const UserQuery& query,
                                   DialogueState* state);
 

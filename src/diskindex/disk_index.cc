@@ -140,7 +140,7 @@ Result<std::unique_ptr<DiskGraphIndex>> DiskGraphIndex::Create(
   return index;
 }
 
-const char* DiskGraphIndex::FetchPage(size_t page, QueryIoState* io) {
+const char* DiskGraphIndex::FetchPage(size_t page, QueryIoState* io) const {
   {
     MutexLock lock(&cache_mu_);
     auto it = cached_.find(page);
@@ -211,15 +211,15 @@ DiskGraphIndex::NodeRecord DiskGraphIndex::ReadRecord(
 }
 
 Result<std::vector<Neighbor>> DiskGraphIndex::Search(
-    const float* query, const SearchParams& params, SearchStats* stats) {
+    const float* query, const SearchParams& params, SearchStats* stats) const {
   Span span("diskindex/search");
   if (params.k == 0) return Status::InvalidArgument("k must be > 0");
   if (num_nodes_ == 0) return Status::FailedPrecondition("empty index");
+  MQA_ASSIGN_OR_RETURN(const ModalityWeights weights,
+                       weighted_.QueryWeights(params.weights));
   const size_t beam_width = std::max(params.beam_width, params.k);
 
   std::vector<bool> visited(num_nodes_, false);
-  // Distances already computed for visited nodes (block-aware scoring).
-  std::vector<float> known_dist(num_nodes_, 0.0f);
 
   auto cand_greater = [](const Neighbor& a, const Neighbor& b) {
     return NeighborLess(b, a);
@@ -235,16 +235,21 @@ Result<std::vector<Neighbor>> DiskGraphIndex::Search(
 
   auto score = [&](uint32_t node, const char* page_data) {
     const NodeRecord rec = ReadRecord(node, page_data);
-    const float d = weighted_.Exact(query, rec.vector);
+    const float d = weighted_.Exact(query, rec.vector, weights);
     ++local.dist_comps;
     visited[node] = true;
-    known_dist[node] = d;
     frontier.push({d, node});
     beam.Push(d, node);
     if (params.filter && params.filter(node)) admitted.Push(d, node);
   };
 
   QueryIoState io;
+  // Reads `node`'s page and scores it; a failed read leaves it unvisited.
+  auto visit = [&](uint32_t node) {
+    const char* page_data =
+        FetchPage(node_to_slot_[node] / nodes_per_page_, &io);
+    if (page_data != nullptr) score(node, page_data);
+  };
 
   if (!pivot_ids_.empty()) {
     // In-memory navigation: scan the RAM pivots (no I/O) and start the
@@ -254,23 +259,17 @@ Result<std::vector<Neighbor>> DiskGraphIndex::Search(
     TopK best_pivots(4);
     std::vector<float> pivot_dists(pivot_ids_.size());
     weighted_.ExactBatch(query, pivot_vectors_.data(), dim_,
-                         pivot_ids_.size(), pivot_dists.data());
+                         pivot_ids_.size(), pivot_dists.data(), weights);
     for (size_t i = 0; i < pivot_ids_.size(); ++i) {
       ++local.dist_comps;
       best_pivots.Push(pivot_dists[i], pivot_ids_[i]);
     }
     for (const Neighbor& p : best_pivots.TakeSorted()) {
-      if (visited[p.id]) continue;
-      const size_t page = node_to_slot_[p.id] / nodes_per_page_;
-      const char* page_data = FetchPage(page, &io);
-      if (page_data != nullptr) score(p.id, page_data);
+      if (!visited[p.id]) visit(p.id);
     }
   }
   for (uint32_t e : entry_points_) {
-    if (e >= num_nodes_ || visited[e]) continue;
-    const size_t page = node_to_slot_[e] / nodes_per_page_;
-    const char* page_data = FetchPage(page, &io);
-    if (page_data != nullptr) score(e, page_data);
+    if (e < num_nodes_ && !visited[e]) visit(e);
   }
   // An unlucky fault schedule can fail every seed read, leaving the
   // traversal with no start. Probe successive nodes until a page arrives
@@ -278,9 +277,7 @@ Result<std::vector<Neighbor>> DiskGraphIndex::Search(
   // without injected faults: a healthy device always delivers the seeds.)
   for (uint32_t n = 0; frontier.empty() && n < num_nodes_ && !io.cache_only;
        ++n) {
-    const size_t page = node_to_slot_[n] / nodes_per_page_;
-    const char* page_data = FetchPage(page, &io);
-    if (page_data != nullptr) score(n, page_data);
+    visit(n);
   }
 
   while (!frontier.empty()) {
@@ -310,10 +307,7 @@ Result<std::vector<Neighbor>> DiskGraphIndex::Search(
 
     for (uint32_t i = 0; i < rec.degree; ++i) {
       const uint32_t nbr = rec.neighbors[i];
-      if (nbr >= num_nodes_ || visited[nbr]) continue;
-      const size_t nbr_page = node_to_slot_[nbr] / nodes_per_page_;
-      const char* nbr_data = FetchPage(nbr_page, &io);
-      if (nbr_data != nullptr) score(nbr, nbr_data);
+      if (nbr < num_nodes_ && !visited[nbr]) visit(nbr);
     }
   }
 

@@ -5,7 +5,8 @@
 #include <istream>
 #include <limits>
 #include <ostream>
-#include <queue>
+
+#include "graph/search.h"
 
 namespace mqa {
 
@@ -45,32 +46,13 @@ void HnswIndex::Insert(uint32_t id) {
     return;
   }
 
-  const float* q = store_->data(id);
-  dist_->BeginQuery(q);
-  uint32_t cur = entry_point_;
-  float cur_dist = dist_->Distance(q, cur);
-
-  // Greedy descent through layers above the insertion level.
-  for (int layer = max_level_; layer > level; --layer) {
-    bool improved = true;
-    while (improved) {
-      improved = false;
-      for (uint32_t nbr : links_[cur][layer]) {
-        const float d = dist_->Distance(q, nbr);
-        if (d < cur_dist) {
-          cur = nbr;
-          cur_dist = d;
-          improved = true;
-        }
-      }
-    }
-  }
+  QueryContext q = dist_->StartQuery(store_->data(id), {}).Value();
+  Neighbor cur = Descend(&q, level, nullptr);
 
   // Connect at each layer from min(level, max_level_) down to 0.
   for (int layer = std::min(level, max_level_); layer >= 0; --layer) {
     std::vector<Neighbor> candidates =
-        SearchLayer(q, cur, cur_dist, config_.ef_construction, layer,
-                    nullptr);
+        SearchLayer(&q, cur, config_.ef_construction, layer, nullptr);
     const uint32_t m_max = layer == 0 ? config_.m * 2 : config_.m;
     std::vector<uint32_t> selected =
         SelectNeighbors(id, candidates, config_.m);
@@ -88,10 +70,7 @@ void HnswIndex::Insert(uint32_t id) {
         nbr_links = SelectNeighbors(nbr, std::move(pool), m_max);
       }
     }
-    if (!candidates.empty()) {
-      cur = candidates[0].id;
-      cur_dist = candidates[0].distance;
-    }
+    if (!candidates.empty()) cur = candidates[0];
   }
 
   if (level > max_level_) {
@@ -100,55 +79,41 @@ void HnswIndex::Insert(uint32_t id) {
   }
 }
 
-std::vector<Neighbor> HnswIndex::SearchLayer(const float* query,
-                                             uint32_t entry, float entry_dist,
-                                             size_t ef, int layer,
-                                             SearchStats* stats,
-                                             const SearchFilter& filter,
-                                             size_t k) const {
-  std::vector<bool> visited(levels_.size(), false);
-  auto cand_greater = [](const Neighbor& a, const Neighbor& b) {
-    return NeighborLess(b, a);
-  };
-  std::priority_queue<Neighbor, std::vector<Neighbor>, decltype(cand_greater)>
-      frontier(cand_greater);
-  TopK beam(ef);
-  TopK admitted(k > 0 ? k : ef);
-
-  visited[entry] = true;
-  frontier.push({entry_dist, entry});
-  beam.Push(entry_dist, entry);
-  if (filter && filter(entry)) admitted.Push(entry_dist, entry);
-
-  // Two-pass adjacency scan (collect + prefetch, then score), same as
-  // BeamSearch in graph/search.cc; scoring order is unchanged.
-  std::vector<uint32_t> to_score;
-
-  while (!frontier.empty()) {
-    const Neighbor current = frontier.top();
-    frontier.pop();
-    if (beam.Full() && current.distance > beam.WorstDistance()) break;
-    if (stats != nullptr) ++stats->hops;
-    if (static_cast<size_t>(layer) >= links_[current.id].size()) continue;
-    to_score.clear();
-    for (uint32_t nbr : links_[current.id][layer]) {
-      if (visited[nbr]) continue;
-      visited[nbr] = true;
-      to_score.push_back(nbr);
-    }
-    for (uint32_t nbr : to_score) dist_->Prefetch(nbr);
-    for (uint32_t nbr : to_score) {
-      const float bound = beam.Full() ? beam.WorstDistance()
-                                      : std::numeric_limits<float>::max();
-      const float d = dist_->DistanceWithBound(query, nbr, bound);
-      if (stats != nullptr) ++stats->dist_comps;
-      if (d > bound) continue;
-      frontier.push({d, nbr});
-      beam.Push(d, nbr);
-      if (filter && filter(nbr)) admitted.Push(d, nbr);
+Neighbor HnswIndex::Descend(QueryContext* query, int stop_layer,
+                            SearchStats* stats) const {
+  Neighbor cur{dist_->Distance(query, entry_point_), entry_point_};
+  if (stats != nullptr) ++stats->dist_comps;
+  for (int layer = max_level_; layer > stop_layer; --layer) {
+    bool improved = true;
+    while (improved) {
+      improved = false;
+      for (uint32_t nbr : links_[cur.id][layer]) {
+        const float d = dist_->Distance(query, nbr);
+        if (stats != nullptr) ++stats->dist_comps;
+        if (d < cur.distance) {
+          cur = {d, nbr};
+          improved = true;
+        }
+      }
+      if (stats != nullptr) ++stats->hops;
     }
   }
-  return filter ? admitted.TakeSorted() : beam.TakeSorted();
+  return cur;
+}
+
+std::vector<Neighbor> HnswIndex::SearchLayer(QueryContext* query,
+                                             Neighbor entry, size_t ef,
+                                             int layer, SearchStats* stats,
+                                             const SearchFilter& filter,
+                                             size_t k) const {
+  static const std::vector<uint32_t> kNoLinks;
+  const size_t l = static_cast<size_t>(layer);
+  return BestFirstSearch(
+      dist_.get(), query, size(), {entry},
+      [this, l](uint32_t id) -> const std::vector<uint32_t>& {
+        return l < links_[id].size() ? links_[id][l] : kNoLinks;
+      },
+      k > 0 ? k : ef, ef, stats, nullptr, filter);
 }
 
 std::vector<uint32_t> HnswIndex::SelectNeighbors(
@@ -188,35 +153,15 @@ std::vector<uint32_t> HnswIndex::SelectNeighbors(
 
 Result<std::vector<Neighbor>> HnswIndex::Search(const float* query,
                                                 const SearchParams& params,
-                                                SearchStats* stats) {
+                                                SearchStats* stats) const {
   if (params.k == 0) return Status::InvalidArgument("k must be > 0");
   if (levels_.empty()) return Status::FailedPrecondition("empty index");
 
-  dist_->BeginQuery(query);
-  uint32_t cur = entry_point_;
-  float cur_dist = dist_->Distance(query, cur);
-  if (stats != nullptr) ++stats->dist_comps;
-  for (int layer = max_level_; layer > 0; --layer) {
-    bool improved = true;
-    while (improved) {
-      improved = false;
-      for (uint32_t nbr : links_[cur][layer]) {
-        const float d = dist_->Distance(query, nbr);
-        if (stats != nullptr) ++stats->dist_comps;
-        if (d < cur_dist) {
-          cur = nbr;
-          cur_dist = d;
-          improved = true;
-        }
-      }
-      if (stats != nullptr) ++stats->hops;
-    }
-  }
-  std::vector<Neighbor> results = SearchLayer(
-      query, cur, cur_dist, std::max(params.beam_width, params.k), 0, stats,
-      params.filter, params.k);
-  if (results.size() > params.k) results.resize(params.k);
-  return results;
+  MQA_ASSIGN_OR_RETURN(QueryContext ctx,
+                       dist_->StartQuery(query, params.weights));
+  return SearchLayer(&ctx, Descend(&ctx, 0, stats),
+                     std::max(params.beam_width, params.k), 0, stats,
+                     params.filter, params.k);
 }
 
 Status HnswIndex::InsertAppended() {

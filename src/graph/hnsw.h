@@ -34,7 +34,7 @@ class HnswIndex : public VectorIndex {
 
   Result<std::vector<Neighbor>> Search(const float* query,
                                        const SearchParams& params,
-                                       SearchStats* stats) override;
+                                       SearchStats* stats) const override;
 
   std::string name() const override { return "hnsw"; }
   uint32_t size() const override {
@@ -69,12 +69,16 @@ class HnswIndex : public VectorIndex {
 
   void Insert(uint32_t id);
 
-  /// Beam search restricted to one layer; returns up to `ef` closest,
-  /// ascending. With a filter, only admitted ids are returned (the beam
-  /// still navigates over everything).
-  std::vector<Neighbor> SearchLayer(const float* query, uint32_t entry,
-                                    float entry_dist, size_t ef, int layer,
-                                    SearchStats* stats,
+  /// Greedy descent from the entry point through every layer above
+  /// `stop_layer`; returns the closest node reached.
+  Neighbor Descend(QueryContext* query, int stop_layer,
+                   SearchStats* stats) const;
+
+  /// Beam search restricted to one layer from an already scored `entry`;
+  /// returns up to `k` (0: `ef`) closest, ascending. With a filter, only
+  /// admitted ids are returned (the beam still navigates over everything).
+  std::vector<Neighbor> SearchLayer(QueryContext* query, Neighbor entry,
+                                    size_t ef, int layer, SearchStats* stats,
                                     const SearchFilter& filter = nullptr,
                                     size_t k = 0) const;
 

@@ -24,6 +24,7 @@ struct SearchParams {
   size_t k = 10;
   size_t beam_width = 64;
   SearchFilter filter;
+  std::vector<float> weights;  ///< per-query modality weights; empty = build
 };
 
 /// Per-query search counters (accumulated when a pointer is supplied).
@@ -65,9 +66,11 @@ class VectorIndex {
   virtual ~VectorIndex() = default;
 
   /// k-nearest-neighbor search. Results are sorted ascending by distance.
+  /// Thread-safe: concurrent searches may share one index, as long as no
+  /// write (ingestion, compaction, weight change) runs at the same time.
   virtual Result<std::vector<Neighbor>> Search(const float* query,
                                                const SearchParams& params,
-                                               SearchStats* stats) = 0;
+                                               SearchStats* stats) const = 0;
 
   virtual std::string name() const = 0;
   virtual uint32_t size() const = 0;

@@ -91,7 +91,8 @@ Status StageRefine(dag::DagContext* ctx, float alpha) {
   std::vector<Neighbor> evaluated;
   for (uint32_t u : order) {
     evaluated.clear();
-    BeamSearch(s->graph, s->dist, s->store->data(u), {s->medoid},
+    QueryContext q = s->dist->StartQuery(s->store->data(u), {}).Value();
+    BeamSearch(s->graph, s->dist, &q, {s->medoid},
                /*k=*/1, s->config.build_beam, nullptr, &evaluated);
     for (uint32_t v : s->graph.neighbors(u)) {
       evaluated.push_back({s->dist->DistanceBetween(u, v), v});
@@ -152,9 +153,10 @@ Status StageConnect(dag::DagContext* ctx) {
     if (unreachable == n) return Status::OK();
 
     // Find the reachable vertex nearest to it and link from there.
-    std::vector<Neighbor> near =
-        BeamSearch(s->graph, s->dist, s->store->data(unreachable),
-                   {s->medoid}, 1, s->config.build_beam, nullptr);
+    QueryContext q =
+        s->dist->StartQuery(s->store->data(unreachable), {}).Value();
+    std::vector<Neighbor> near = BeamSearch(
+        s->graph, s->dist, &q, {s->medoid}, 1, s->config.build_beam, nullptr);
     uint32_t attach = near.empty() ? s->medoid : near[0].id;
     if (attach == unreachable) attach = s->medoid;
     s->graph.AddEdge(attach, unreachable);
@@ -337,7 +339,8 @@ Status InsertIntoGraphIndex(GraphIndex* index, const VectorStore* store,
 
   // Candidate acquisition: search for the new vector from the entries.
   std::vector<Neighbor> evaluated;
-  BeamSearch(*graph, dist, store->data(new_id), index->entry_points(),
+  QueryContext q = dist->StartQuery(store->data(new_id), {}).Value();
+  BeamSearch(*graph, dist, &q, index->entry_points(),
              /*k=*/1, config.build_beam, nullptr, &evaluated);
   std::vector<uint32_t> selected = RobustPrune(
       new_id, std::move(evaluated), config.alpha, config.max_degree, dist);

@@ -4,7 +4,6 @@
 #include <istream>
 #include <limits>
 #include <ostream>
-#include <queue>
 
 #include "common/metrics.h"
 #include "common/trace.h"
@@ -12,81 +11,31 @@
 namespace mqa {
 
 std::vector<Neighbor> BeamSearch(const AdjacencyGraph& graph,
-                                 DistanceComputer* dist, const float* query,
+                                 const DistanceComputer* dist,
+                                 QueryContext* query,
                                  const std::vector<uint32_t>& entries,
                                  size_t k, size_t beam_width,
                                  SearchStats* stats,
                                  std::vector<Neighbor>* evaluated,
                                  const SearchFilter& filter) {
   const uint32_t n = graph.num_nodes();
-  if (n == 0 || entries.empty()) return {};
-  beam_width = std::max(beam_width, k);
-  dist->BeginQuery(query);
-
-  std::vector<bool> visited(n, false);
-
-  // Candidate frontier: min-heap by distance.
-  auto cand_greater = [](const Neighbor& a, const Neighbor& b) {
-    return NeighborLess(b, a);
-  };
-  std::priority_queue<Neighbor, std::vector<Neighbor>, decltype(cand_greater)>
-      frontier(cand_greater);
-
-  // The beam steers navigation over every vertex; with a filter active,
-  // admissible results are collected separately.
-  TopK beam(beam_width);
-  TopK admitted(k);
-
-  auto offer = [&](float d, uint32_t id) {
-    frontier.push({d, id});
-    beam.Push(d, id);
-    if (filter && filter(id)) admitted.Push(d, id);
-  };
-
+  std::vector<Neighbor> seeds;
   for (uint32_t e : entries) {
-    if (e >= n || visited[e]) continue;
-    visited[e] = true;
-    const float d = dist->Distance(query, e);
+    if (e >= n || std::any_of(seeds.begin(), seeds.end(),
+                              [e](const Neighbor& s) { return s.id == e; })) {
+      continue;
+    }
+    seeds.push_back({dist->Distance(query, e), e});
     if (stats != nullptr) ++stats->dist_comps;
-    if (evaluated != nullptr) evaluated->push_back({d, e});
-    offer(d, e);
+    if (evaluated != nullptr) evaluated->push_back(seeds.back());
   }
-
-  // Adjacency-scan scratch, reused across hops. Unvisited neighbors are
-  // collected first and their rows prefetched together, so by the time each
-  // one is scored its vector is already on the way to L1; scoring order and
-  // bound updates are exactly those of the one-pass loop.
-  std::vector<uint32_t> to_score;
-
-  while (!frontier.empty()) {
-    const Neighbor current = frontier.top();
-    frontier.pop();
-    // Termination: the closest unexpanded candidate cannot improve the beam.
-    if (beam.Full() && current.distance > beam.WorstDistance()) break;
-    if (stats != nullptr) ++stats->hops;
-
-    to_score.clear();
-    for (uint32_t nbr : graph.neighbors(current.id)) {
-      if (visited[nbr]) continue;
-      visited[nbr] = true;
-      to_score.push_back(nbr);
-    }
-    for (uint32_t nbr : to_score) dist->Prefetch(nbr);
-    for (uint32_t nbr : to_score) {
-      const float bound = beam.Full() ? beam.WorstDistance()
-                                      : std::numeric_limits<float>::max();
-      const float d = dist->DistanceWithBound(query, nbr, bound);
-      if (stats != nullptr) ++stats->dist_comps;
-      if (d > bound) continue;  // pruned: cannot enter the beam
-      if (evaluated != nullptr) evaluated->push_back({d, nbr});
-      offer(d, nbr);
-    }
-  }
-
-  std::vector<Neighbor> results =
-      filter ? admitted.TakeSorted() : beam.TakeSorted();
-  if (results.size() > k) results.resize(k);
-  return results;
+  if (seeds.empty()) return {};
+  return BestFirstSearch(
+      dist, query, n, seeds,
+      [&graph](uint32_t id) -> const std::vector<uint32_t>& {
+        return graph.neighbors(id);
+      },
+      k, beam_width, stats, evaluated, filter);
 }
 
 uint32_t ApproximateMedoid(DistanceComputer* dist, Rng* rng,
@@ -113,16 +62,18 @@ uint32_t ApproximateMedoid(DistanceComputer* dist, Rng* rng,
 
 Result<std::vector<Neighbor>> GraphIndex::Search(const float* query,
                                                  const SearchParams& params,
-                                                 SearchStats* stats) {
+                                                 SearchStats* stats) const {
   Span span("graph/search");
   if (params.k == 0) return Status::InvalidArgument("k must be > 0");
   if (graph_.num_nodes() == 0) return Status::FailedPrecondition("empty index");
+  MQA_ASSIGN_OR_RETURN(QueryContext ctx,
+                       dist_->StartQuery(query, params.weights));
   // The traversal fills a fresh local stats block; global counters and the
   // caller's accumulator are fed from it afterwards via SearchStats::Merge
   // (one resolved-pointer add per query, traversal loop untouched).
   SearchStats local;
   std::vector<Neighbor> out =
-      BeamSearch(graph_, dist_.get(), query, entry_points_, params.k,
+      BeamSearch(graph_, dist_.get(), &ctx, entry_points_, params.k,
                  params.beam_width, &local, nullptr, params.filter);
   static Counter* const searches =
       MetricsRegistry::Global().GetCounter("graph/searches");
@@ -178,12 +129,13 @@ Result<std::unique_ptr<GraphIndex>> GraphIndex::Load(
 }
 
 Result<std::vector<Neighbor>> BruteForceIndex::Search(
-    const float* query, const SearchParams& params, SearchStats* stats) {
+    const float* query, const SearchParams& params, SearchStats* stats) const {
   if (params.k == 0) return Status::InvalidArgument("k must be > 0");
   const uint32_t n = dist_->size();
   if (n == 0) return Status::FailedPrecondition("empty index");
+  MQA_ASSIGN_OR_RETURN(QueryContext ctx,
+                       dist_->StartQuery(query, params.weights));
   TopK topk(params.k);
-  dist_->BeginQuery(query);
   if (!params.filter && !dist_->PrunesWithBound()) {
     // Exact linear scan: no per-candidate branch can skip work, so chunked
     // batches let the computer overlap each row's fetch with the previous
@@ -194,7 +146,7 @@ Result<std::vector<Neighbor>> BruteForceIndex::Search(
     for (uint32_t start = 0; start < n; start += kChunk) {
       const uint32_t count = std::min(kChunk, n - start);
       for (uint32_t i = 0; i < count; ++i) ids[i] = start + i;
-      dist_->DistanceBatch(query, ids.data(), count, dists.data());
+      dist_->DistanceBatch(&ctx, ids.data(), count, dists.data());
       if (stats != nullptr) stats->dist_comps += count;
       for (uint32_t i = 0; i < count; ++i) topk.Push(dists[i], start + i);
     }
@@ -204,7 +156,7 @@ Result<std::vector<Neighbor>> BruteForceIndex::Search(
     if (params.filter && !params.filter(i)) continue;
     const float bound = topk.Full() ? topk.WorstDistance()
                                     : std::numeric_limits<float>::max();
-    const float d = dist_->DistanceWithBound(query, i, bound);
+    const float d = dist_->DistanceWithBound(&ctx, i, bound);
     if (stats != nullptr) ++stats->dist_comps;
     if (d > bound) continue;
     topk.Push(d, i);

@@ -1,8 +1,11 @@
 #ifndef MQA_GRAPH_SEARCH_H_
 #define MQA_GRAPH_SEARCH_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <queue>
 #include <vector>
 
 #include "common/random.h"
@@ -13,11 +16,81 @@
 
 namespace mqa {
 
+/// The best-first traversal behind BeamSearch and HNSW's per-layer search:
+/// starts from `seeds` (already scored, distinct), repeatedly expands the
+/// closest unexpanded vertex over `neighbors_of(id)` (a range of ids in
+/// [0, num_nodes)), and stops when the beam can no longer improve. The
+/// other parameters and the result are as for BeamSearch.
+template <typename NeighborsOf>
+std::vector<Neighbor> BestFirstSearch(const DistanceComputer* dist,
+                                      QueryContext* query, uint32_t num_nodes,
+                                      const std::vector<Neighbor>& seeds,
+                                      const NeighborsOf& neighbors_of,
+                                      size_t k, size_t beam_width,
+                                      SearchStats* stats,
+                                      std::vector<Neighbor>* evaluated,
+                                      const SearchFilter& filter) {
+  std::vector<bool> visited(num_nodes, false);
+  // Candidate frontier: min-heap by distance.
+  auto cand_greater = [](const Neighbor& a, const Neighbor& b) {
+    return NeighborLess(b, a);
+  };
+  std::priority_queue<Neighbor, std::vector<Neighbor>, decltype(cand_greater)>
+      frontier(cand_greater);
+  // The beam steers navigation over every vertex; with a filter active,
+  // admissible results are collected separately.
+  TopK beam(std::max(beam_width, k));
+  TopK admitted(k);
+  auto offer = [&](float d, uint32_t id) {
+    frontier.push({d, id});
+    beam.Push(d, id);
+    if (filter && filter(id)) admitted.Push(d, id);
+  };
+  for (const Neighbor& seed : seeds) {
+    visited[seed.id] = true;
+    offer(seed.distance, seed.id);
+  }
+
+  // Adjacency-scan scratch, reused across hops. Unvisited neighbors are
+  // collected first and their rows prefetched together, so by the time each
+  // one is scored its vector is already on the way to L1; scoring order and
+  // bound updates are exactly those of the one-pass loop.
+  std::vector<uint32_t> to_score;
+  while (!frontier.empty()) {
+    const Neighbor current = frontier.top();
+    frontier.pop();
+    // Termination: the closest unexpanded candidate cannot improve the beam.
+    if (beam.Full() && current.distance > beam.WorstDistance()) break;
+    if (stats != nullptr) ++stats->hops;
+    to_score.clear();
+    for (uint32_t nbr : neighbors_of(current.id)) {
+      if (visited[nbr]) continue;
+      visited[nbr] = true;
+      to_score.push_back(nbr);
+    }
+    for (uint32_t nbr : to_score) dist->Prefetch(nbr);
+    for (uint32_t nbr : to_score) {
+      const float bound = beam.Full() ? beam.WorstDistance()
+                                      : std::numeric_limits<float>::max();
+      const float d = dist->DistanceWithBound(query, nbr, bound);
+      if (stats != nullptr) ++stats->dist_comps;
+      if (d > bound) continue;  // pruned: cannot enter the beam
+      if (evaluated != nullptr) evaluated->push_back({d, nbr});
+      offer(d, nbr);
+    }
+  }
+  std::vector<Neighbor> results =
+      filter ? admitted.TakeSorted() : beam.TakeSorted();
+  if (results.size() > k) results.resize(k);
+  return results;
+}
+
 /// Best-first beam search over a navigation graph — the paper's "Query
 /// Execution" traversal: start at the entry vertices, repeatedly expand the
 /// closest unexpanded vertex, stop when the beam can no longer improve.
-/// Distances go through `dist->DistanceWithBound`, so the incremental
-/// multi-vector scan prunes against the current beam frontier.
+/// Distances from `query` (a context started on `dist`) go through
+/// `dist->DistanceWithBound`, so the incremental multi-vector scan prunes
+/// against the current beam frontier.
 ///
 /// Returns the k best results sorted ascending. When `evaluated` is given,
 /// every (distance, id) actually scored is appended (build-time candidate
@@ -25,7 +98,8 @@ namespace mqa {
 /// vertices are still traversed (they keep the graph navigable) but only
 /// admitted ids are returned.
 std::vector<Neighbor> BeamSearch(const AdjacencyGraph& graph,
-                                 DistanceComputer* dist, const float* query,
+                                 const DistanceComputer* dist,
+                                 QueryContext* query,
                                  const std::vector<uint32_t>& entries,
                                  size_t k, size_t beam_width,
                                  SearchStats* stats,
@@ -51,7 +125,7 @@ class GraphIndex : public VectorIndex {
 
   Result<std::vector<Neighbor>> Search(const float* query,
                                        const SearchParams& params,
-                                       SearchStats* stats) override;
+                                       SearchStats* stats) const override;
 
   std::string name() const override { return name_; }
   uint32_t size() const override { return graph_.num_nodes(); }
@@ -87,13 +161,12 @@ class BruteForceIndex : public VectorIndex {
 
   Result<std::vector<Neighbor>> Search(const float* query,
                                        const SearchParams& params,
-                                       SearchStats* stats) override;
+                                       SearchStats* stats) const override;
 
   std::string name() const override { return "bruteforce"; }
   uint32_t size() const override { return dist_->size(); }
   uint64_t MemoryBytes() const override { return 0; }
 
-  DistanceComputer* distance() { return dist_.get(); }
 
  private:
   std::unique_ptr<DistanceComputer> dist_;

@@ -45,10 +45,12 @@ class RetrievalFramework {
  public:
   virtual ~RetrievalFramework() = default;
 
-  /// Executes one retrieval round. Not thread-safe (search statistics and
-  /// weight overrides mutate internal state).
-  virtual Result<RetrievalResult> Retrieve(const RetrievalQuery& query,
-                                           const SearchParams& params) = 0;
+  /// Executes one retrieval round. Thread-safe: a query's weight override
+  /// travels with its search, so concurrent Retrieve calls may share one
+  /// framework. Writes (SetWeights, Remove, ingestion, compaction) must
+  /// not run concurrently with it.
+  virtual Result<RetrievalResult> Retrieve(
+      const RetrievalQuery& query, const SearchParams& params) const = 0;
 
   virtual std::string name() const = 0;
 

@@ -41,8 +41,8 @@ Result<std::unique_ptr<MrFramework>> MrFramework::Create(
   return fw;
 }
 
-Result<RetrievalResult> MrFramework::Retrieve(const RetrievalQuery& query,
-                                              const SearchParams& params) {
+Result<RetrievalResult> MrFramework::Retrieve(
+    const RetrievalQuery& query, const SearchParams& params) const {
   const VectorSchema& s = schema();
   if (query.modalities.parts.size() != s.num_modalities()) {
     return Status::InvalidArgument("query modality count mismatch");

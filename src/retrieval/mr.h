@@ -23,7 +23,7 @@ class MrFramework : public RetrievalFramework {
       const IndexConfig& index_config, size_t candidate_factor = 3);
 
   Result<RetrievalResult> Retrieve(const RetrievalQuery& query,
-                                   const SearchParams& params) override;
+                                   const SearchParams& params) const override;
 
   std::string name() const override { return "mr"; }
   const VectorSchema& schema() const override { return corpus_->schema(); }

@@ -71,8 +71,7 @@ Result<std::unique_ptr<MustFramework>> MustFramework::Create(
   }
   // For disk-resident indexes the source distance computer is destroyed
   // with the temporary in-memory graph; the disk index owns its own copy.
-  fw->disk_ = dynamic_cast<DiskGraphIndex*>(fw->index_.get());
-  if (fw->disk_ == nullptr) fw->dist_ = dist_raw;
+  if (fw->SupportsLiveIngestion()) fw->dist_ = dist_raw;
   // Sketches attach after the build so the graph construction itself is
   // unchanged; searches get the prefilter from the first query on.
   if (fw->dist_ != nullptr && index_config.sketch_prefilter) {
@@ -117,14 +116,8 @@ const DistanceStats& MustFramework::distance_stats() const {
   return dist_ != nullptr ? dist_->stats() : kEmpty;
 }
 
-Status MustFramework::ApplyWeights(const std::vector<float>& weights) {
-  if (dist_ != nullptr) return dist_->SetWeights(weights);
-  if (disk_ != nullptr) return disk_->SetWeights(weights);
-  return Status::Internal("no distance owner configured");
-}
-
-Result<RetrievalResult> MustFramework::Retrieve(const RetrievalQuery& query,
-                                                const SearchParams& params) {
+Result<RetrievalResult> MustFramework::Retrieve(
+    const RetrievalQuery& query, const SearchParams& params) const {
   std::vector<bool> present;
   MQA_ASSIGN_OR_RETURN(Vector flat,
                        FlattenQuery(schema(), query.modalities, &present));
@@ -141,22 +134,19 @@ Result<RetrievalResult> MustFramework::Retrieve(const RetrievalQuery& query,
   if (!any) {
     return Status::InvalidArgument("query has no present modality");
   }
-  MQA_RETURN_NOT_OK(ApplyWeights(NormalizeWeights(std::move(w))));
+  // The effective weights travel with this search (the index validates
+  // them); its shared distance keeps the build weights.
+  SearchParams effective = WithoutTombstones(params);
+  effective.weights = NormalizeWeights(std::move(w));
 
   RetrievalResult result;
   // Measured through the injected Clock (not wall time) so MockClock tests
   // and injected latency spikes show up in retrieval timings.
   const int64_t start_micros = clock()->NowMicros();
-  const SearchParams effective = WithoutTombstones(params);
-  Result<std::vector<Neighbor>> found =
-      index_->Search(flat.data(), effective, &result.stats);
+  MQA_ASSIGN_OR_RETURN(result.neighbors,
+                       index_->Search(flat.data(), effective, &result.stats));
   result.latency_ms =
       static_cast<double>(clock()->NowMicros() - start_micros) / 1e3;
-  // Restore the build-time weights before any return, a failed search's
-  // too: live ingestion links new nodes under whatever weights the shared
-  // distance computer holds.
-  MQA_RETURN_NOT_OK(ApplyWeights(weights_));
-  MQA_ASSIGN_OR_RETURN(result.neighbors, std::move(found));
   return result;
 }
 
@@ -164,8 +154,13 @@ Status MustFramework::SetWeights(std::vector<float> weights) {
   if (weights.size() != schema().num_modalities()) {
     return Status::InvalidArgument("weights do not match corpus schema");
   }
-  weights_ = NormalizeWeights(std::move(weights));
-  return ApplyWeights(weights_);
+  std::vector<float> normalized = NormalizeWeights(std::move(weights));
+  MQA_RETURN_NOT_OK(ValidateWeights(schema(), normalized));
+  // Searches pass their weights explicitly; the in-memory computer's build
+  // weights matter only for linking ingested nodes.
+  if (dist_ != nullptr) MQA_RETURN_NOT_OK(dist_->SetWeights(normalized));
+  weights_ = std::move(normalized);
+  return Status::OK();
 }
 
 Status MustFramework::Remove(uint32_t id) {
@@ -209,7 +204,6 @@ Status MustFramework::CompactTombstones(const std::vector<uint32_t>& remap,
   index_ = std::make_unique<GraphIndex>(flat->name(), std::move(compacted),
                                         std::move(dist), std::move(entries));
   dist_ = dist_raw;
-  disk_ = nullptr;
   if (sketches_ != nullptr) {
     // The corpus rows moved under compaction; re-sketch them all and
     // attach to the replacement computer.

@@ -30,7 +30,7 @@ class MustFramework : public RetrievalFramework {
       BuildReport* report = nullptr, std::istream* saved_graph = nullptr);
 
   Result<RetrievalResult> Retrieve(const RetrievalQuery& query,
-                                   const SearchParams& params) override;
+                                   const SearchParams& params) const override;
 
   std::string name() const override { return "must"; }
   const VectorSchema& schema() const override { return corpus_->schema(); }
@@ -77,17 +77,13 @@ class MustFramework : public RetrievalFramework {
  private:
   MustFramework() = default;
 
-  /// Routes a weight change to whoever owns the distance function.
-  Status ApplyWeights(const std::vector<float>& weights);
-
   std::shared_ptr<const VectorStore> corpus_;
   std::vector<float> weights_;
   bool pruning_ = true;
   std::unique_ptr<VectorIndex> index_;
-  // Exactly one of these is set, depending on the index kind; both are
-  // owned by index_ (or are index_ itself).
+  // The in-memory index's distance computer (owned by index_); nullptr
+  // for the disk-resident index, which owns its own distance.
   MultiVectorDistanceComputer* dist_ = nullptr;
-  DiskGraphIndex* disk_ = nullptr;
   // Popcount prefilter sketches over the corpus rows (in-memory indexes
   // only; nullptr when disabled or disk-resident). Appended on ingestion,
   // rebuilt on compaction; attached to dist_ via SetSketches.

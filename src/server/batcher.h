@@ -71,9 +71,8 @@ struct BatcherStats {
 /// immediately, so un-registered callers transparently get unbatched
 /// semantics.
 ///
-/// Batches are executed one at a time (`flush_inflight_`), which is also
-/// what makes it safe to drive a non-thread-safe RetrievalFramework from
-/// many server workers. Responses are matched to requests by position;
+/// Batches from different leaders may run at once, so the batch function
+/// must be thread-safe. Responses are matched to requests by position;
 /// the batch function must return exactly one Result per request.
 template <typename Request, typename Response>
 class Batcher {
@@ -123,8 +122,7 @@ class Batcher {
     cv_.NotifyAll();
     while (!slot->done) {
       BatchTrigger trigger = BatchTrigger::kSize;
-      if (!flush_inflight_ && !pending_.empty() &&
-          ShouldFlushLocked(&trigger)) {
+      if (!pending_.empty() && ShouldFlushLocked(&trigger)) {
         FlushLocked(trigger);  // drops mu_ around the batch function
         continue;              // our slot may have been in that batch
       }
@@ -141,22 +139,11 @@ class Batcher {
     return stats_;
   }
 
-  size_t active_workers() const {
-    MutexLock lock(&mu_);
-    return active_;
-  }
-
-  /// Callers currently inside Submit (their requests are pending or in
-  /// the in-flight batch). Tests poll this to know a request arrived.
+  /// Callers currently inside Submit (their requests are pending or in a
+  /// running batch). Tests poll this to know a request arrived.
   size_t waiting_callers() const {
     MutexLock lock(&mu_);
     return waiting_;
-  }
-
-  /// Requests not yet taken by a flush.
-  size_t pending_requests() const {
-    MutexLock lock(&mu_);
-    return pending_.size();
   }
 
   size_t max_batch() const { return options_.max_batch; }
@@ -200,14 +187,13 @@ class Batcher {
   }
 
   /// Takes up to max_batch pending slots and runs the batch function with
-  /// mu_ released (batches serialize on flush_inflight_, not on the lock,
-  /// so submissions keep flowing while a batch executes).
+  /// mu_ released, so submissions — and other leaders' batches — keep
+  /// flowing while this batch executes.
   void FlushLocked(BatchTrigger trigger) MQA_REQUIRES(mu_) {
     const size_t n = std::min(pending_.size(), options_.max_batch);
     std::vector<std::shared_ptr<Slot>> batch(pending_.begin(),
                                              pending_.begin() + n);
     pending_.erase(pending_.begin(), pending_.begin() + n);
-    flush_inflight_ = true;
     ++stats_.batches;
     stats_.items += n;
     stats_.max_occupancy = std::max(stats_.max_occupancy, n);
@@ -244,7 +230,6 @@ class Batcher {
       }
       batch[i]->done = true;
     }
-    flush_inflight_ = false;
     cv_.NotifyAll();
   }
 
@@ -259,7 +244,6 @@ class Batcher {
   std::deque<std::shared_ptr<Slot>> pending_ MQA_GUARDED_BY(mu_);
   size_t active_ MQA_GUARDED_BY(mu_) = 0;
   size_t waiting_ MQA_GUARDED_BY(mu_) = 0;
-  bool flush_inflight_ MQA_GUARDED_BY(mu_) = false;
   BatcherStats stats_ MQA_GUARDED_BY(mu_);
 };
 

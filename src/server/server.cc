@@ -93,9 +93,9 @@ void Server::InstallBatchers() {
   batch_options.name = "search";
   search_batcher_ = std::make_unique<Batcher<SearchCall, RetrievalResult>>(
       batch_options, [framework](const std::vector<SearchCall>& batch) {
-        // Sequential per-item execution inside the single flush thread:
-        // batched results stay bit-identical to unbatched ones, and the
-        // non-thread-safe framework only ever sees one caller.
+        // Per-item execution on the flushing thread, so batched results
+        // stay bit-identical to unbatched ones. Retrieve is thread-safe:
+        // other workers' batches may run at the same time.
         std::vector<Result<RetrievalResult>> out;
         out.reserve(batch.size());
         for (const SearchCall& call : batch) {

@@ -66,11 +66,10 @@ struct ServerStatsSnapshot {
 ///
 /// Inside the workers, cross-query batching: encode and graph-search
 /// calls from concurrent turns are coalesced by two Batchers (installed
-/// as ExecutionHooks on the coordinator's QueryExecutor), which also
-/// serializes access to the non-thread-safe RetrievalFramework. Per-turn
-/// dialogue state (rewriter history, prompt history, result selection)
-/// lives in a per-session ServerSession, so concurrent sessions never
-/// share conversational state.
+/// as ExecutionHooks on the coordinator's QueryExecutor); batches from
+/// different workers run in parallel. Per-turn dialogue state (rewriter
+/// history, prompt history, result selection) lives in a per-session
+/// ServerSession, so concurrent sessions never share conversational state.
 ///
 /// Lock ordering (see DESIGN.md "Serving & batching"): Server::mu_ (the
 /// session map) is never held across a turn; a worker holds one

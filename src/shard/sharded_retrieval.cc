@@ -270,7 +270,7 @@ void ShardedRetrieval::RunShardAttempt(size_t shard_index,
                                        const RetrievalQuery& query,
                                        const SearchParams& params,
                                        int64_t budget_micros,
-                                       ShardAttempt* out) {
+                                       ShardAttempt* out) const {
   Shard& shard = *shards_[shard_index];
   Clock* clk = clock();
 
@@ -372,7 +372,7 @@ void ShardedRetrieval::RunShardAttempt(size_t shard_index,
 }
 
 Result<RetrievalResult> ShardedRetrieval::Retrieve(
-    const RetrievalQuery& query, const SearchParams& params) {
+    const RetrievalQuery& query, const SearchParams& params) const {
   Span span("shard/fanout");
   fanouts_->Increment();
   Clock* clk = clock();
@@ -449,7 +449,10 @@ Result<RetrievalResult> ShardedRetrieval::Retrieve(
     }
   }
   report.ok_count = ok_count;
-  last_report_ = std::move(report);
+  {
+    MutexLock lock(&report_mu_);
+    last_report_ = report;
+  }
   merged.stats.shards_total = static_cast<uint32_t>(num_shards);
   merged.stats.shards_ok = static_cast<uint32_t>(ok_count);
 
@@ -458,6 +461,16 @@ Result<RetrievalResult> ShardedRetrieval::Retrieve(
   fanout_ms_->Record(merged.latency_ms);
 
   if (ok_count < options_.quorum) {
+    // Every shard runs the same query: if none answered and one rejected
+    // the query itself, the query is at fault, not the fleet.
+    if (ok_count == 0) {
+      for (const ShardOutcome& outcome : report.shards) {
+        if (outcome.kind == ShardOutcomeKind::kError &&
+            !outcome.status.IsRetryable()) {
+          return outcome.status;
+        }
+      }
+    }
     quorum_failures_->Increment();
     return Status::Unavailable(
         "shard quorum not met: " + std::to_string(ok_count) + " of " +

@@ -66,12 +66,12 @@ struct FanoutReport {
 ///    in time. Missing shards surface as stats.shards_ok < shards_total
 ///    (a degradation note upstream), never as silently truncated results.
 ///
-/// Thread-safety: like every RetrievalFramework, Retrieve is not
-/// thread-safe (callers serialize, e.g. the server's search batcher). The
-/// internal fan-out pool is an implementation detail; per-query completion
-/// is tracked with a function-local Mutex/CondVar (a leaf in the lock
-/// hierarchy: no other lock is ever held while it is acquired, and shard
-/// attempts acquire it only after all retrieval work is done).
+/// Thread-safety: like every RetrievalFramework, concurrent Retrieve calls
+/// are safe. Each fan-out tracks its completion with a function-local
+/// Mutex/CondVar and publishes its report under report_mu_; both are
+/// leaves in the lock hierarchy (no other lock is held while one is
+/// acquired; shard attempts take the completion mutex only after all
+/// retrieval work is done).
 class ShardedRetrieval : public RetrievalFramework {
  public:
   /// Partitions `corpus`, builds one `framework_name` framework per shard
@@ -87,10 +87,11 @@ class ShardedRetrieval : public RetrievalFramework {
 
   /// Fans out, merges, and enforces the quorum. Returns kDeadlineExceeded
   /// when the query's deadline already passed, kUnavailable when fewer
-  /// than quorum shards responded; otherwise the merged result, with
+  /// than quorum shards responded (but a shard's non-retryable rejection
+  /// of the query itself when none did); otherwise the merged result, with
   /// stats.shards_total/shards_ok recording coverage.
   Result<RetrievalResult> Retrieve(const RetrievalQuery& query,
-                                   const SearchParams& params) override;
+                                   const SearchParams& params) const override;
 
   std::string name() const override { return "sharded:" + inner_name_; }
   const VectorSchema& schema() const override { return corpus_->schema(); }
@@ -135,10 +136,12 @@ class ShardedRetrieval : public RetrievalFramework {
     return shards_[shard]->breaker->state();
   }
 
-  /// Per-shard accounting of the most recent Retrieve. Valid on the
-  /// calling thread until the next Retrieve (same non-thread-safe contract
-  /// as Retrieve itself).
-  const FanoutReport& last_report() const { return last_report_; }
+  /// Per-shard accounting of the most recently finished Retrieve (a copy;
+  /// with concurrent callers, whichever fan-out finished last).
+  FanoutReport last_report() const MQA_EXCLUDES(report_mu_) {
+    MutexLock lock(&report_mu_);
+    return last_report_;
+  }
 
  private:
   /// One fault domain: an independent slice of the corpus with its own
@@ -169,7 +172,7 @@ class ShardedRetrieval : public RetrievalFramework {
   /// sequence. Never touches state shared with other shards.
   void RunShardAttempt(size_t shard_index, const RetrievalQuery& query,
                        const SearchParams& params, int64_t budget_micros,
-                       ShardAttempt* out);
+                       ShardAttempt* out) const;
 
   ShardOptions options_;
   std::string inner_name_;  ///< the per-shard framework name ("must", ...)
@@ -179,7 +182,8 @@ class ShardedRetrieval : public RetrievalFramework {
   /// Global id -> (shard index, local row id); grows with live ingestion.
   std::vector<std::pair<uint32_t, uint32_t>> owner_;
   std::unique_ptr<ThreadPool> fanout_pool_;
-  FanoutReport last_report_;
+  mutable Mutex report_mu_;
+  mutable FanoutReport last_report_ MQA_GUARDED_BY(report_mu_);
 
   // Aggregate metrics (process-global; resolved once at Create).
   Counter* fanouts_ = nullptr;

@@ -8,24 +8,39 @@
 
 namespace mqa {
 
+namespace {
+
+/// Validates the weights and sorts the scan order heaviest first: the
+/// largest contributions accumulate earliest, so a pruned scan's running
+/// prefix crosses its bound as soon as possible.
+Result<ModalityWeights> MakeWeights(const VectorSchema& schema,
+                                    std::vector<float> weights) {
+  MQA_RETURN_NOT_OK(ValidateWeights(schema, weights));
+  ModalityWeights out;
+  out.values = std::move(weights);
+  out.scan_order.resize(out.values.size());
+  for (size_t m = 0; m < out.scan_order.size(); ++m) out.scan_order[m] = m;
+  std::stable_sort(out.scan_order.begin(), out.scan_order.end(),
+                   [&out](size_t a, size_t b) {
+                     return out.values[a] > out.values[b];
+                   });
+  return out;
+}
+
+}  // namespace
+
 Result<WeightedMultiDistance> WeightedMultiDistance::Create(
     VectorSchema schema, std::vector<float> weights) {
   if (schema.num_modalities() == 0) {
     return Status::InvalidArgument("schema has no modalities");
   }
-  if (weights.size() != schema.num_modalities()) {
-    return Status::InvalidArgument("weights size does not match schema");
-  }
-  for (float w : weights) {
-    if (w < 0.0f || !std::isfinite(w)) {
-      return Status::InvalidArgument("modality weights must be finite and >= 0");
-    }
-  }
-  return WeightedMultiDistance(std::move(schema), std::move(weights));
+  MQA_ASSIGN_OR_RETURN(ModalityWeights w,
+                       MakeWeights(schema, std::move(weights)));
+  return WeightedMultiDistance(std::move(schema), std::move(w));
 }
 
 WeightedMultiDistance::WeightedMultiDistance(VectorSchema schema,
-                                             std::vector<float> weights)
+                                             ModalityWeights weights)
     : schema_(std::move(schema)), weights_(std::move(weights)) {
   offsets_.resize(schema_.num_modalities());
   size_t off = 0;
@@ -33,21 +48,21 @@ WeightedMultiDistance::WeightedMultiDistance(VectorSchema schema,
     offsets_[m] = off;
     off += schema_.dims[m];
   }
-  RecomputeScanOrder();
 }
 
-float WeightedMultiDistance::Exact(const float* q, const float* o) const {
+float WeightedMultiDistance::Exact(const float* q, const float* o,
+                                   const ModalityWeights& w) const {
   // One fused dispatch call: the SIMD tiers carry the weighted accumulator
   // across modality segments in vector registers, with a single horizontal
   // reduction; the scalar tier reproduces the historical per-modality loop
   // bit for bit.
   return ActiveKernels().wl2sq(q, o, offsets_.data(), schema_.dims.data(),
-                               weights_.data(), schema_.num_modalities());
+                               w.values.data(), schema_.num_modalities());
 }
 
 void WeightedMultiDistance::ExactBatch(const float* q, const float* base,
-                                       size_t stride, size_t n,
-                                       float* out) const {
+                                       size_t stride, size_t n, float* out,
+                                       const ModalityWeights& w) const {
   for (size_t i = 0; i < n; ++i) {
     const float* row = base + i * stride;
     if (i + 1 < n) {
@@ -58,27 +73,26 @@ void WeightedMultiDistance::ExactBatch(const float* q, const float* base,
         PrefetchRead(reinterpret_cast<const char*>(next) + b);
       }
     }
-    out[i] = Exact(q, row);
+    out[i] = Exact(q, row, w);
   }
 }
 
 float WeightedMultiDistance::Pruned(const float* q, const float* o,
-                                    float bound, DistanceStats* stats) const {
-  // Modalities are scanned heaviest-weight first (see RecomputeScanOrder):
-  // the largest contributions accumulate earliest, so the running prefix
-  // crosses the abandon bound as soon as possible.
+                                    float bound, const ModalityWeights& w,
+                                    DistanceCounts* stats) const {
+  // Modalities are scanned heaviest-weight first (see MakeWeights).
   float sum = 0.0f;
-  for (size_t i = 0; i < scan_order_.size(); ++i) {
-    const size_t m = scan_order_[i];
-    const float w = weights_[m];
-    if (w == 0.0f) continue;
+  for (size_t i = 0; i < w.scan_order.size(); ++i) {
+    const size_t m = w.scan_order[i];
+    const float wm = w.values[m];
+    if (wm == 0.0f) continue;
     const size_t dim = schema_.dims[m];
-    sum += w * L2Sq(q + offsets_[m], o + offsets_[m], dim);
+    sum += wm * L2Sq(q + offsets_[m], o + offsets_[m], dim);
     if (stats != nullptr) stats->dims_scanned += dim;
     if (sum > bound) {
       if (stats != nullptr) {
         // Only count a prune when work was actually skipped.
-        if (i + 1 < scan_order_.size()) {
+        if (i + 1 < w.scan_order.size()) {
           ++stats->pruned_computations;
         } else {
           ++stats->full_computations;
@@ -91,17 +105,20 @@ float WeightedMultiDistance::Pruned(const float* q, const float* o,
   return sum;
 }
 
-void WeightedMultiDistance::RecomputeScanOrder() {
-  scan_order_.resize(schema_.num_modalities());
-  for (size_t m = 0; m < scan_order_.size(); ++m) scan_order_[m] = m;
-  std::stable_sort(scan_order_.begin(), scan_order_.end(),
-                   [this](size_t a, size_t b) {
-                     return weights_[a] > weights_[b];
-                   });
+Result<ModalityWeights> WeightedMultiDistance::QueryWeights(
+    const std::vector<float>& weights) const {
+  if (weights.empty()) return weights_;
+  return MakeWeights(schema_, weights);
 }
 
 Status WeightedMultiDistance::SetWeights(std::vector<float> weights) {
-  if (weights.size() != weights_.size()) {
+  MQA_ASSIGN_OR_RETURN(weights_, MakeWeights(schema_, std::move(weights)));
+  return Status::OK();
+}
+
+Status ValidateWeights(const VectorSchema& schema,
+                       const std::vector<float>& weights) {
+  if (weights.size() != schema.num_modalities()) {
     return Status::InvalidArgument("weights size does not match schema");
   }
   for (float w : weights) {
@@ -109,8 +126,6 @@ Status WeightedMultiDistance::SetWeights(std::vector<float> weights) {
       return Status::InvalidArgument("modality weights must be finite and >= 0");
     }
   }
-  weights_ = std::move(weights);
-  RecomputeScanOrder();
   return Status::OK();
 }
 

@@ -11,26 +11,26 @@
 
 namespace mqa {
 
-/// Counters for the computational-pruning ablation (MUST-E4). Accumulated by
-/// the incremental multi-vector scan.
-///
-/// The counters are atomic so that concurrent searches sharing one
-/// DistanceComputer (the serving path: many queries, one index) stay
-/// TSan-clean; increments are relaxed, so cross-counter totals read during
-/// a concurrent run are approximate and only exact once searches quiesce.
-struct DistanceStats {
-  std::atomic<uint64_t> full_computations{0};    ///< computed to completion
-  std::atomic<uint64_t> pruned_computations{0};  ///< abandoned early
-  std::atomic<uint64_t> dims_scanned{0};  ///< float components visited
+/// Counters for the computational-pruning ablation (MUST-E4). A search
+/// counts into its own plain DistanceCounts on every evaluation and adds
+/// them, once, to its distance computer's shared atomic DistanceStats when
+/// it ends (see QueryContext in vector/vector_store.h), so concurrent
+/// searches never contend per distance. Shared totals are exact once
+/// searches quiesce.
+template <typename Counter>
+struct PruningCounters {
+  Counter full_computations{0};    ///< computed to completion
+  Counter pruned_computations{0};  ///< abandoned early
+  Counter dims_scanned{0};         ///< float components visited
   /// Subset of pruned_computations rejected by the bit-sketch prefilter
   /// before any float was touched (see vector/sketch.h).
-  std::atomic<uint64_t> sketch_rejects{0};
+  Counter sketch_rejects{0};
 
-  DistanceStats() = default;
-  DistanceStats(const DistanceStats& other) { CopyFrom(other); }
-  DistanceStats& operator=(const DistanceStats& other) {
-    CopyFrom(other);
-    return *this;
+  void Add(const PruningCounters<uint64_t>& other) {
+    full_computations += other.full_computations;
+    pruned_computations += other.pruned_computations;
+    dims_scanned += other.dims_scanned;
+    sketch_rejects += other.sketch_rejects;
   }
 
   void Reset() {
@@ -43,14 +43,16 @@ struct DistanceStats {
   uint64_t TotalComputations() const {
     return full_computations + pruned_computations;
   }
+};
 
- private:
-  void CopyFrom(const DistanceStats& other) {
-    full_computations.store(other.full_computations.load());
-    pruned_computations.store(other.pruned_computations.load());
-    dims_scanned.store(other.dims_scanned.load());
-    sketch_rejects.store(other.sketch_rejects.load());
-  }
+using DistanceCounts = PruningCounters<uint64_t>;
+using DistanceStats = PruningCounters<std::atomic<uint64_t>>;
+
+/// Modality weights with their heaviest-first scan order: the part of the
+/// weighted distance a query may override.
+struct ModalityWeights {
+  std::vector<float> values;
+  std::vector<size_t> scan_order;  ///< modality indices, heaviest first
 };
 
 /// Weighted multi-vector distance (the MUST similarity):
@@ -69,8 +71,13 @@ class WeightedMultiDistance {
                                               std::vector<float> weights);
 
   /// Exact distance between two flattened multi-vectors (length
-  /// schema.TotalDim() each).
-  float Exact(const float* q, const float* o) const;
+  /// schema.TotalDim() each), under the build weights or under `w`. The
+  /// query-side methods below take the query's weights explicitly.
+  float Exact(const float* q, const float* o) const {
+    return Exact(q, o, weights_);
+  }
+  float Exact(const float* q, const float* o,
+              const ModalityWeights& w) const;
 
   /// Exact distances from `q` to `n` candidate rows laid out at `base`,
   /// `base + stride`, ... (a contiguous VectorStore/pivot-table scan).
@@ -79,31 +86,40 @@ class WeightedMultiDistance {
   /// the next row is prefetched, so linear rerank scans hide memory
   /// latency behind the arithmetic.
   void ExactBatch(const float* q, const float* base, size_t stride, size_t n,
-                  float* out) const;
+                  float* out, const ModalityWeights& w) const;
 
-  /// Distance with early abandonment at `bound`. Returns a value > bound
-  /// (not necessarily exact) when abandoned. `stats` may be null.
+  /// Distance under `w` with early abandonment at `bound`. Returns a value
+  /// > bound (not necessarily exact) when abandoned. `stats` may be null.
   float Pruned(const float* q, const float* o, float bound,
-               DistanceStats* stats) const;
+               const ModalityWeights& w, DistanceCounts* stats) const;
+
+  /// The effective weights of one search: a copy of the build weights when
+  /// `weights` is empty, else `weights` with its scan order. InvalidArgument
+  /// unless there is one finite, nonnegative entry per modality.
+  Result<ModalityWeights> QueryWeights(const std::vector<float>& weights) const;
 
   const VectorSchema& schema() const { return schema_; }
-  const std::vector<float>& weights() const { return weights_; }
+  /// The build weights: used when a search passes none, and for every
+  /// distance between two stored rows.
+  const std::vector<float>& weights() const { return weights_.values; }
 
-  /// Replaces the modality weights (e.g. after weight learning or a user
-  /// override at query time). Size must match; values must be >= 0.
+  /// Replaces the build weights (after weight learning or a framework-wide
+  /// SetWeights — a write, never done per query). Size must match; values
+  /// must be finite and >= 0.
   Status SetWeights(std::vector<float> weights);
 
  private:
-  WeightedMultiDistance(VectorSchema schema, std::vector<float> weights);
-
-  /// Re-sorts scan_order_ by descending weight.
-  void RecomputeScanOrder();
+  WeightedMultiDistance(VectorSchema schema, ModalityWeights weights);
 
   VectorSchema schema_;
-  std::vector<float> weights_;
+  ModalityWeights weights_;
   std::vector<size_t> offsets_;  // modality start offsets in the flat layout
-  std::vector<size_t> scan_order_;  // modality indices, heaviest first
 };
+
+/// OK when `weights` holds one finite, nonnegative entry per modality of
+/// `schema`; InvalidArgument otherwise.
+Status ValidateWeights(const VectorSchema& schema,
+                       const std::vector<float>& weights);
 
 /// Flattens a MultiVector into one contiguous buffer in schema order.
 /// Returns InvalidArgument if dimensions do not match the schema.

@@ -23,19 +23,6 @@ bool ReadPod(std::istream& in, T* v) {
   return static_cast<bool>(in);
 }
 
-/// Per-thread prefilter state: which computer/query the cached QuerySketch
-/// belongs to. Keyed by both so (a) concurrent searches sharing one
-/// computer each see only their own query's sketch, and (b) a computer
-/// whose BeginQuery was never called on this thread finds a mismatch and
-/// simply skips the prefilter.
-struct ThreadQuerySketch {
-  const void* owner = nullptr;
-  const float* query = nullptr;
-  QuerySketch sketch;
-};
-
-thread_local ThreadQuerySketch t_query_sketch;
-
 }  // namespace
 
 Result<uint32_t> VectorStore::Add(const Vector& flat) {
@@ -97,22 +84,25 @@ Result<VectorStore> VectorStore::Load(std::istream& in) {
   return store;
 }
 
-void MultiVectorDistanceComputer::BeginQuery(const float* q) {
-  if (sketches_ == nullptr || q == nullptr) return;
-  t_query_sketch.owner = this;
-  t_query_sketch.query = q;
-  t_query_sketch.sketch.Prepare(*sketches_, q, dist_.weights());
+Result<QueryContext> MultiVectorDistanceComputer::StartQuery(
+    const float* q, const std::vector<float>& weights) const {
+  QueryContext ctx(q, &stats_);
+  MQA_ASSIGN_OR_RETURN(ctx.weights, dist_.QueryWeights(weights));
+  if (sketches_ != nullptr) {
+    ctx.sketch.Prepare(*sketches_, q, ctx.weights.values);
+  }
+  return ctx;
 }
 
-float MultiVectorDistanceComputer::DistanceWithBound(const float* q,
+float MultiVectorDistanceComputer::DistanceWithBound(QueryContext* ctx,
                                                      uint32_t id,
-                                                     float bound) {
-  if (sketches_ != nullptr && t_query_sketch.owner == this &&
-      t_query_sketch.query == q && id < sketches_->size()) {
-    const float lb = t_query_sketch.sketch.LowerBound(sketches_->words(id));
+                                                     float bound) const {
+  if (sketches_ != nullptr && !ctx->sketch.words.empty() &&
+      id < sketches_->size()) {
+    const float lb = ctx->sketch.LowerBound(sketches_->words(id));
     if (lb * sketch_scale_ > bound) {
-      ++stats_.pruned_computations;
-      ++stats_.sketch_rejects;
+      ++ctx->counts.pruned_computations;
+      ++ctx->counts.sketch_rejects;
       // The contract requires a value > bound; lb itself qualifies at the
       // provable scale of 1 but may not when scale > 1.
       return lb > bound
@@ -120,8 +110,9 @@ float MultiVectorDistanceComputer::DistanceWithBound(const float* q,
                  : std::nextafter(bound, std::numeric_limits<float>::max());
     }
   }
-  if (!pruning_) return Distance(q, id);
-  return dist_.Pruned(q, store_->data(id), bound, &stats_);
+  if (!pruning_) return Distance(ctx, id);
+  return dist_.Pruned(ctx->query, store_->data(id), bound, ctx->weights,
+                      &ctx->counts);
 }
 
 }  // namespace mqa

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/aligned.h"
@@ -53,6 +54,13 @@ class VectorStore {
     return Vector(p, p + row_dim());
   }
 
+  /// Hints that row `id` will be read soon (one hint per cache line).
+  void Prefetch(uint32_t id) const {
+    const char* row = reinterpret_cast<const char*>(data(id));
+    const size_t bytes = row_dim() * sizeof(float);
+    for (size_t b = 0; b < bytes; b += kSimdAlignment) PrefetchRead(row + b);
+  }
+
   uint32_t size() const { return static_cast<uint32_t>(count_); }
   size_t row_dim() const { return schema_.TotalDim(); }
   /// Floats between consecutive rows in memory (>= row_dim()).
@@ -76,53 +84,81 @@ class VectorStore {
   size_t count_ = 0;
 };
 
+/// One search's distance state, from DistanceComputer::StartQuery: the
+/// query, its effective weights, its prefilter sketch and its counters.
+/// The search owns it, so concurrent searches over one computer share no
+/// mutable state; on destruction the counters are added to the computer's
+/// DistanceStats, once per search.
+class QueryContext {
+ public:
+  QueryContext(const float* q, DistanceStats* sink) : query(q), sink_(sink) {}
+  QueryContext(QueryContext&& other) noexcept
+      : query(other.query), weights(std::move(other.weights)),
+        sketch(std::move(other.sketch)), counts(other.counts),
+        sink_(std::exchange(other.sink_, nullptr)) {}
+  QueryContext& operator=(QueryContext&&) = delete;
+  ~QueryContext() { if (sink_ != nullptr) sink_->Add(counts); }
+
+  const float* query;       ///< flattened, row_dim floats
+  ModalityWeights weights;  ///< multi-vector computers only
+  QuerySketch sketch;       ///< empty unless the computer has sketches
+  DistanceCounts counts;
+
+ private:
+  DistanceStats* sink_;  ///< null: the computer keeps no statistics
+};
+
 /// Query-to-stored-vector distance abstraction used by all graph searches.
-/// Implementations may prune with a bound and may accumulate statistics, so
-/// the methods are non-const.
+/// Read-only while searches run: per-query state lives in the QueryContext
+/// each search passes in.
 class DistanceComputer {
  public:
   virtual ~DistanceComputer() = default;
 
-  /// Announces that subsequent Distance* calls on *this thread* use query
-  /// `q`, letting the implementation precompute per-query state (the
-  /// bit-sketch prefilter). Optional: every Distance* call is correct
-  /// without it, just without the prefilter fast path. Thread-local in
-  /// effect, so concurrent searches sharing one computer never observe each
-  /// other's query state.
-  virtual void BeginQuery(const float* q) { (void)q; }
+  /// Starts one search for flattened query `q` under `weights` (empty =
+  /// the build weights; never fails). InvalidArgument when `weights` does
+  /// not fit (single-vector computers take none).
+  virtual Result<QueryContext> StartQuery(
+      const float* q, const std::vector<float>& weights) const {
+    if (!weights.empty()) {
+      return Status::InvalidArgument("single-vector distance takes no weights");
+    }
+    return QueryContext(q, nullptr);
+  }
 
-  /// Exact distance from query `q` (flattened, row_dim floats) to row `id`.
-  virtual float Distance(const float* q, uint32_t id) = 0;
+  /// Exact distance from the context's query to row `id`.
+  virtual float Distance(QueryContext* ctx, uint32_t id) const = 0;
 
   /// Distance with an early-abandon bound. May return any value > bound
   /// when the true distance exceeds `bound`.
-  virtual float DistanceWithBound(const float* q, uint32_t id, float bound) {
+  virtual float DistanceWithBound(QueryContext* ctx, uint32_t id,
+                                  float bound) const {
     (void)bound;
-    return Distance(q, id);
+    return Distance(ctx, id);
   }
 
-  /// Exact distances from `q` to ids[0..n). out[i] corresponds to ids[i].
-  /// Bitwise identical to n Distance() calls — the batch exists to overlap
-  /// each row's memory fetch with the previous row's arithmetic.
-  virtual void DistanceBatch(const float* q, const uint32_t* ids, size_t n,
-                             float* out) {
+  /// Exact distances from the query to ids[0..n). out[i] corresponds to
+  /// ids[i]. Bitwise identical to n Distance() calls — the batch exists to
+  /// overlap each row's memory fetch with the previous row's arithmetic.
+  virtual void DistanceBatch(QueryContext* ctx, const uint32_t* ids, size_t n,
+                             float* out) const {
     for (size_t i = 0; i < n; ++i) {
       if (i + 1 < n) Prefetch(ids[i + 1]);
-      out[i] = Distance(q, ids[i]);
+      out[i] = Distance(ctx, ids[i]);
     }
   }
 
   /// Hints that row `id` will be scored soon.
-  virtual void Prefetch(uint32_t id) { (void)id; }
+  virtual void Prefetch(uint32_t id) const { (void)id; }
 
   /// True when DistanceWithBound can actually return early (pruning or
   /// prefiltering); callers may pick exact batch paths when false.
   virtual bool PrunesWithBound() const { return false; }
 
-  /// Exact distance between two stored rows (used at build time).
-  virtual float DistanceBetween(uint32_t a, uint32_t b) = 0;
+  /// Exact distance between two stored rows under the build weights (used
+  /// at build time).
+  virtual float DistanceBetween(uint32_t a, uint32_t b) const = 0;
 
-  virtual size_t dim() const = 0;
   virtual uint32_t size() const = 0;
 };
 
@@ -133,19 +169,15 @@ class FlatDistanceComputer : public DistanceComputer {
   FlatDistanceComputer(const VectorStore* store, Metric metric)
       : store_(store), metric_(metric) {}
 
-  float Distance(const float* q, uint32_t id) override {
-    return ComputeDistance(metric_, q, store_->data(id), store_->row_dim());
+  float Distance(QueryContext* ctx, uint32_t id) const override {
+    return ComputeDistance(metric_, ctx->query, store_->data(id),
+                           store_->row_dim());
   }
-  float DistanceBetween(uint32_t a, uint32_t b) override {
+  float DistanceBetween(uint32_t a, uint32_t b) const override {
     return ComputeDistance(metric_, store_->data(a), store_->data(b),
                            store_->row_dim());
   }
-  void Prefetch(uint32_t id) override {
-    const char* row = reinterpret_cast<const char*>(store_->data(id));
-    const size_t bytes = store_->row_dim() * sizeof(float);
-    for (size_t b = 0; b < bytes; b += kSimdAlignment) PrefetchRead(row + b);
-  }
-  size_t dim() const override { return store_->row_dim(); }
+  void Prefetch(uint32_t id) const override { store_->Prefetch(id); }
   uint32_t size() const override { return store_->size(); }
 
  private:
@@ -156,60 +188,56 @@ class FlatDistanceComputer : public DistanceComputer {
 /// Weighted multi-vector distance with incremental-scanning pruning — the
 /// MUST path. Accumulates DistanceStats for the pruning ablation.
 ///
-/// When a BitSketchIndex is attached (SetSketches), DistanceWithBound first
-/// compares popcount sketches: an object whose proven lower bound already
-/// exceeds the bound is rejected without touching a single float. At the
-/// default sketch_scale of 1 this rejects only objects the pruning bound
-/// would reject anyway, so recall is provably unchanged (see
-/// vector/sketch.h). The prefilter engages only after BeginQuery(q) was
-/// called on the current thread with the same query pointer.
+/// When a BitSketchIndex is attached (SetSketches), StartQuery sketches the
+/// query and DistanceWithBound first compares popcount sketches: an object
+/// whose proven lower bound already exceeds the bound is rejected without
+/// touching a single float. At the default sketch_scale of 1 this rejects
+/// only objects the pruning bound would reject anyway, so recall is
+/// provably unchanged (see vector/sketch.h).
 class MultiVectorDistanceComputer : public DistanceComputer {
  public:
   MultiVectorDistanceComputer(const VectorStore* store,
                               WeightedMultiDistance dist, bool enable_pruning)
       : store_(store), dist_(std::move(dist)), pruning_(enable_pruning) {}
 
-  void BeginQuery(const float* q) override;
+  Result<QueryContext> StartQuery(
+      const float* q, const std::vector<float>& weights) const override;
 
-  float Distance(const float* q, uint32_t id) override {
-    float d = dist_.Exact(q, store_->data(id));
-    ++stats_.full_computations;
-    stats_.dims_scanned += store_->row_dim();
-    return d;
+  float Distance(QueryContext* ctx, uint32_t id) const override {
+    ++ctx->counts.full_computations;
+    ctx->counts.dims_scanned += store_->row_dim();
+    return dist_.Exact(ctx->query, store_->data(id), ctx->weights);
   }
 
-  float DistanceWithBound(const float* q, uint32_t id, float bound) override;
+  float DistanceWithBound(QueryContext* ctx, uint32_t id,
+                          float bound) const override;
 
-  float DistanceBetween(uint32_t a, uint32_t b) override {
+  float DistanceBetween(uint32_t a, uint32_t b) const override {
     return dist_.Exact(store_->data(a), store_->data(b));
   }
 
-  void Prefetch(uint32_t id) override {
-    const char* row = reinterpret_cast<const char*>(store_->data(id));
-    const size_t bytes = store_->row_dim() * sizeof(float);
-    for (size_t b = 0; b < bytes; b += kSimdAlignment) PrefetchRead(row + b);
-  }
+  void Prefetch(uint32_t id) const override { store_->Prefetch(id); }
 
   bool PrunesWithBound() const override {
     return pruning_ || sketches_ != nullptr;
   }
 
-  size_t dim() const override { return store_->row_dim(); }
   uint32_t size() const override { return store_->size(); }
 
-  /// Attaches (or detaches, with nullptr) the prefilter sketches. Not
-  /// owned; must outlive this computer or be detached first. `scale`
-  /// multiplies the proven lower bound before the reject comparison: 1 is
-  /// provably recall-neutral, > 1 trades recall for more rejects.
+  /// Attaches (or detaches, with nullptr) the prefilter sketches for
+  /// searches started afterwards. Not owned; must outlive this computer or
+  /// be detached first. `scale` multiplies the proven lower bound before
+  /// the reject comparison: 1 is provably recall-neutral, > 1 trades
+  /// recall for more rejects.
   void SetSketches(const BitSketchIndex* sketches, float scale = 1.0f) {
     sketches_ = sketches;
     sketch_scale_ = scale > 0.0f ? scale : 1.0f;
   }
-  const BitSketchIndex* sketches() const { return sketches_; }
 
   const DistanceStats& stats() const { return stats_; }
   void ResetStats() { stats_.Reset(); }
   const WeightedMultiDistance& weighted_distance() const { return dist_; }
+  /// Replaces the build weights (see WeightedMultiDistance::SetWeights).
   Status SetWeights(std::vector<float> w) {
     return dist_.SetWeights(std::move(w));
   }
@@ -220,7 +248,8 @@ class MultiVectorDistanceComputer : public DistanceComputer {
   bool pruning_;
   const BitSketchIndex* sketches_ = nullptr;
   float sketch_scale_ = 1.0f;
-  DistanceStats stats_;
+  /// Written only by QueryContext folds (atomic adds), hence mutable.
+  mutable DistanceStats stats_;
 };
 
 }  // namespace mqa

@@ -65,19 +65,27 @@ TEST(StarlingFactoryTest, BuildsFromMultiVectorDistanceAndReweights) {
   ASSERT_TRUE(index.ok());
   auto* disk = dynamic_cast<DiskGraphIndex*>(index->get());
   ASSERT_NE(disk, nullptr);
-  // The on-disk distance carries the source weights and can be changed.
+  // The on-disk distance carries the source weights, and a query can
+  // override them for its own search.
   EXPECT_EQ(disk->weighted_distance().weights(),
             (std::vector<float>{1.5f, 0.5f}));
-  ASSERT_TRUE(disk->SetWeights({0.0f, 2.0f}).ok());
-  EXPECT_EQ(disk->weighted_distance().weights(),
-            (std::vector<float>{0.0f, 2.0f}));
-  // Searching with the new weights still works.
   const Vector q = store.Row(0);
   SearchParams params;
   params.k = 5;
+  params.weights = {0.0f, 2.0f};
   auto r = (*index)->Search(q.data(), params, nullptr);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->size(), 5u);
+  ASSERT_EQ(r->size(), 5u);
+  auto overridden = WeightedMultiDistance::Create(schema, {0.0f, 2.0f});
+  ASSERT_TRUE(overridden.ok());
+  for (const Neighbor& n : *r) {
+    EXPECT_EQ(n.distance, overridden->Exact(q.data(), store.data(n.id)));
+  }
+  EXPECT_EQ(disk->weighted_distance().weights(),
+            (std::vector<float>{1.5f, 0.5f}));
+  params.weights = {1.0f};
+  EXPECT_EQ((*index)->Search(q.data(), params, nullptr).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(StarlingFactoryTest, RespectsDiskConfig) {

@@ -11,6 +11,16 @@ using ::mqa::testing::ExactKnn;
 using ::mqa::testing::MakeClusteredStore;
 using ::mqa::testing::Recall;
 
+/// BeamSearch for query `q` under the computer's build weights.
+std::vector<Neighbor> Beam(const AdjacencyGraph& g,
+                           const DistanceComputer& dist, const Vector& q,
+                           const std::vector<uint32_t>& entries, size_t k,
+                           size_t beam_width, SearchStats* stats,
+                           std::vector<Neighbor>* evaluated = nullptr) {
+  QueryContext ctx = dist.StartQuery(q.data(), {}).Value();
+  return BeamSearch(g, &dist, &ctx, entries, k, beam_width, stats, evaluated);
+}
+
 TEST(BeamSearchTest, FindsExactNeighborsOnCompleteGraph) {
   std::vector<Vector> queries;
   VectorStore store = MakeClusteredStore(200, 8, 4, 1, &queries, 5);
@@ -23,7 +33,7 @@ TEST(BeamSearchTest, FindsExactNeighborsOnCompleteGraph) {
   }
   FlatDistanceComputer dist(&store, Metric::kL2);
   for (const Vector& q : queries) {
-    const auto got = BeamSearch(g, &dist, q.data(), {0}, 10, 32, nullptr);
+    const auto got = Beam(g, dist, q, {0}, 10, 32, nullptr);
     const auto expected = ExactKnn(store, q, 10);
     EXPECT_DOUBLE_EQ(Recall(got, expected), 1.0);
   }
@@ -34,10 +44,10 @@ TEST(BeamSearchTest, EmptyEntriesOrGraphGivesEmpty) {
   AdjacencyGraph g(store.size());
   FlatDistanceComputer dist(&store, Metric::kL2);
   const Vector q(4, 0.0f);
-  EXPECT_TRUE(BeamSearch(g, &dist, q.data(), {}, 5, 16, nullptr).empty());
+  EXPECT_TRUE(Beam(g, dist, q, {}, 5, 16, nullptr).empty());
   AdjacencyGraph empty;
   EXPECT_TRUE(
-      BeamSearch(empty, &dist, q.data(), {0}, 5, 16, nullptr).empty());
+      Beam(empty, dist, q, {0}, 5, 16, nullptr).empty());
 }
 
 TEST(BeamSearchTest, IsolatedEntryReturnsJustEntry) {
@@ -45,7 +55,7 @@ TEST(BeamSearchTest, IsolatedEntryReturnsJustEntry) {
   AdjacencyGraph g(store.size());  // no edges at all
   FlatDistanceComputer dist(&store, Metric::kL2);
   const Vector q(4, 0.0f);
-  const auto got = BeamSearch(g, &dist, q.data(), {3}, 5, 16, nullptr);
+  const auto got = Beam(g, dist, q, {3}, 5, 16, nullptr);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].id, 3u);
 }
@@ -59,7 +69,7 @@ TEST(BeamSearchTest, StatsCountHopsAndDistances) {
   FlatDistanceComputer dist(&store, Metric::kL2);
   SearchStats stats;
   const Vector q(4, 0.0f);
-  BeamSearch(g, &dist, q.data(), {0}, 5, 8, &stats);
+  Beam(g, dist, q, {0}, 5, 8, &stats);
   EXPECT_GT(stats.hops, 0u);
   EXPECT_GT(stats.dist_comps, 0u);
 }
@@ -105,7 +115,7 @@ TEST(BeamSearchTest, EvaluatedCollectsScoredNodes) {
   FlatDistanceComputer dist(&store, Metric::kL2);
   std::vector<Neighbor> evaluated;
   const Vector q(4, 0.0f);
-  BeamSearch(g, &dist, q.data(), {0}, 3, 8, nullptr, &evaluated);
+  Beam(g, dist, q, {0}, 3, 8, nullptr, &evaluated);
   EXPECT_GE(evaluated.size(), 3u);
   // No duplicates.
   std::set<uint32_t> ids;
@@ -129,9 +139,9 @@ TEST(BeamSearchTest, WiderBeamNeverHurtsRecall) {
   for (const Vector& q : queries) {
     const auto expected = ExactKnn(store, q, 10);
     narrow_total += Recall(
-        BeamSearch(g, &dist, q.data(), {0}, 10, 10, nullptr), expected);
+        Beam(g, dist, q, {0}, 10, 10, nullptr), expected);
     wide_total += Recall(
-        BeamSearch(g, &dist, q.data(), {0}, 10, 200, nullptr), expected);
+        Beam(g, dist, q, {0}, 10, 200, nullptr), expected);
   }
   EXPECT_GE(wide_total, narrow_total);
 }

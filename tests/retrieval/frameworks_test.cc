@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "retrieval/factory.h"
 #include "retrieval/je.h"
 #include "retrieval/mr.h"
@@ -160,6 +162,44 @@ TEST_F(FrameworksTest, MustFailedOverrideQueryDoesNotLeakIntoIngestion) {
   ASSERT_NE((*queried)->flat_graph_index(), nullptr);
   EXPECT_EQ((*queried)->flat_graph_index()->graph().neighbors(new_id),
             (*twin)->flat_graph_index()->graph().neighbors(new_id));
+}
+
+TEST_F(FrameworksTest, MustRejectsNonFiniteWeightOverrides) {
+  // NaN and +inf overrides are the query's error on every index kind, and
+  // leave nothing behind: the next queries match a twin framework that
+  // never saw them, bit for bit. (Negative entries are clamped to 0.)
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const char* algorithm : {"mqa-hybrid", "hnsw", "bruteforce",
+                                "starling"}) {
+    IndexConfig config = SmallIndex();
+    config.algorithm = algorithm;
+    auto queried = MustFramework::Create(corpus_->represented.store,
+                                         corpus_->represented.weights, config);
+    auto twin = MustFramework::Create(corpus_->represented.store,
+                                      corpus_->represented.weights, config);
+    ASSERT_TRUE(queried.ok() && twin.ok()) << algorithm;
+    Rng rng(8);
+    RetrievalQuery rq = TextQueryFor(2, &rng);
+    SearchParams params;
+    params.k = 10;
+    for (const std::vector<float>& bad : {std::vector<float>{nan, 1.0f},
+                                          std::vector<float>{1.0f, inf}}) {
+      rq.weights = bad;
+      EXPECT_EQ((*queried)->Retrieve(rq, params).status().code(),
+                StatusCode::kInvalidArgument)
+          << algorithm;
+    }
+    for (const std::vector<float>& good :
+         {std::vector<float>{}, std::vector<float>{2.0f, 0.05f},
+          std::vector<float>{-1.0f, 1.0f}}) {
+      rq.weights = good;
+      auto got = (*queried)->Retrieve(rq, params);
+      auto want = (*twin)->Retrieve(rq, params);
+      ASSERT_TRUE(got.ok() && want.ok()) << algorithm;
+      EXPECT_EQ(got->neighbors, want->neighbors) << algorithm;
+    }
+  }
 }
 
 TEST_F(FrameworksTest, MustDistanceStatsAccumulateWithPruning) {

@@ -152,9 +152,20 @@ TEST_F(SessionIsolationTest, ConcurrentSessionsMatchSequentialReference) {
   // Equivalence under concurrency *and* batching: the same per-session
   // query streams produce bit-identical retrieval results whether they
   // run interleaved through the batched server or sequentially against a
-  // fresh identically-configured system.
+  // fresh identically-configured system. Each session but the first
+  // re-weights the modalities its own way, so batches running in parallel
+  // mix different weights.
   constexpr size_t kSessions = 4;
   constexpr size_t kTurns = 3;
+  const size_t num_modalities =
+      server_->coordinator()->framework()->weights().size();
+  auto weights_for = [num_modalities](size_t s) {
+    std::vector<float> w;
+    if (s == 0) return w;  // the framework's own weights
+    w.assign(num_modalities, 0.5f);
+    w[s % num_modalities] = 1.0f + static_cast<float>(s);
+    return w;
+  };
   std::vector<uint64_t> sessions(kSessions);
   for (size_t s = 0; s < kSessions; ++s) sessions[s] = server_->OpenSession();
 
@@ -162,11 +173,12 @@ TEST_F(SessionIsolationTest, ConcurrentSessionsMatchSequentialReference) {
       kSessions, std::vector<std::vector<uint64_t>>(kTurns));
   std::vector<std::thread> clients;
   for (size_t s = 0; s < kSessions; ++s) {
-    clients.emplace_back([&sessions, &concurrent, s] {
+    clients.emplace_back([&sessions, &concurrent, &weights_for, s] {
       for (size_t t = 0; t < kTurns; ++t) {
         UserQuery query;
         query.text = "show me " + server_->coordinator()->world().ConceptName(
                                       static_cast<uint32_t>(s + 2));
+        query.weight_override = weights_for(s);
         Result<AnswerTurn> turn = server_->Ask(sessions[s], query);
         ASSERT_TRUE(turn.ok()) << turn.status().ToString();
         concurrent[s][t] = Ids(turn.Value().items);
@@ -189,6 +201,7 @@ TEST_F(SessionIsolationTest, ConcurrentSessionsMatchSequentialReference) {
       UserQuery query;
       query.text = "show me " + (*reference)->world().ConceptName(
                                     static_cast<uint32_t>(s + 2));
+      query.weight_override = weights_for(s);
       Result<AnswerTurn> turn = (*reference)->AskWithState(query, &state);
       ASSERT_TRUE(turn.ok()) << turn.status().ToString();
       EXPECT_EQ(Ids(turn.Value().items), concurrent[s][t])

@@ -196,7 +196,7 @@ TEST_F(ShardChaosTest, HedgeFiresOnInjectedLatencySpike) {
 
   auto result = (*fw)->Retrieve(Query(3), Params());
   ASSERT_TRUE(result.ok());
-  const ShardOutcome& outcome = (*fw)->last_report().shards[0];
+  const ShardOutcome outcome = (*fw)->last_report().shards[0];
   EXPECT_EQ(outcome.kind, ShardOutcomeKind::kOk);
   EXPECT_TRUE(outcome.hedged);
   EXPECT_TRUE(outcome.hedge_won);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "common/clock.h"
@@ -221,6 +222,52 @@ TEST_F(ShardedRetrievalTest, ExpiredDeadlineShedsBeforeFanout) {
   auto result = (*fw)->Retrieve(rq, params);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+}
+
+TEST_F(ShardedRetrievalTest, MalformedQueryIsRejectedNotUnavailable) {
+  // Every shard rejects a malformed query the same way. The fan-out must
+  // report that rejection, as the unsharded framework does, not a missed
+  // quorum: kUnavailable is retryable and reads as an outage upstream.
+  ShardOptions options;
+  options.num_shards = 4;
+  auto sharded = MakeSharded(*corpus_, options, SmallGraphIndex());
+  ASSERT_TRUE(sharded.ok());
+  auto unsharded = CreateRetrievalFramework(
+      "must", corpus_->represented.store, corpus_->represented.weights,
+      SmallGraphIndex());
+  ASSERT_TRUE(unsharded.ok());
+
+  Rng rng(3);
+  const RetrievalQuery good = TextQueryFor(1, &rng);
+  SearchParams params;
+  params.k = 5;
+  params.beam_width = 32;
+  SearchParams zero_k = params;
+  zero_k.k = 0;
+  RetrievalQuery nan_weight = good;
+  nan_weight.weights.assign(corpus_->represented.weights.size(), 1.0f);
+  nan_weight.weights[0] = std::numeric_limits<float>::quiet_NaN();
+
+  const uint64_t quorum_failures_before =
+      MetricsRegistry::Global().CounterValue("shard/quorum_failures");
+  const std::vector<std::pair<RetrievalQuery, SearchParams>> malformed = {
+      {good, zero_k}, {nan_weight, params}};
+  for (const auto& [query, query_params] : malformed) {
+    auto expected = (*unsharded)->Retrieve(query, query_params);
+    auto got = (*sharded)->Retrieve(query, query_params);
+    ASSERT_FALSE(expected.ok());
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(expected.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(got.status().code(), expected.status().code())
+        << got.status().ToString();
+  }
+  EXPECT_EQ(MetricsRegistry::Global().CounterValue("shard/quorum_failures"),
+            quorum_failures_before);
+  // Rejections are the query's fault, not the shards': nothing tripped.
+  for (size_t s = 0; s < (*sharded)->num_shards(); ++s) {
+    EXPECT_EQ((*sharded)->shard_breaker_state(s), BreakerState::kClosed);
+  }
+  EXPECT_TRUE((*sharded)->Retrieve(good, params).ok());
 }
 
 }  // namespace

@@ -207,7 +207,7 @@ TEST_F(KernelParityTest, BatchIsBitwiseIdenticalToPerRow) {
 
     std::vector<float> batch(n);
     wd->ExactBatch(q.data(), store.data(0), store.row_stride(), n,
-                   batch.data());
+                   batch.data(), wd->QueryWeights({}).Value());
     for (uint32_t i = 0; i < n; ++i) {
       EXPECT_EQ(batch[i], wd->Exact(q.data(), store.data(i)))
           << "row " << i << " must be bitwise identical";
@@ -217,9 +217,10 @@ TEST_F(KernelParityTest, BatchIsBitwiseIdenticalToPerRow) {
     std::vector<uint32_t> ids(n);
     for (uint32_t i = 0; i < n; ++i) ids[i] = i;
     std::vector<float> out(n);
-    dist.DistanceBatch(q.data(), ids.data(), n, out.data());
+    QueryContext ctx = dist.StartQuery(q.data(), {}).Value();
+    dist.DistanceBatch(&ctx, ids.data(), n, out.data());
     for (uint32_t i = 0; i < n; ++i) {
-      EXPECT_EQ(out[i], dist.Distance(q.data(), i));
+      EXPECT_EQ(out[i], dist.Distance(&ctx, i));
     }
   }
 }
@@ -283,20 +284,20 @@ TEST_F(KernelParityTest, PrefilteredScanMatchesPlainScan) {
     MultiVectorDistanceComputer filtered(&store, *wd,
                                          /*enable_pruning=*/true);
     filtered.SetSketches(&sketches);
-    plain.BeginQuery(q.data());
-    filtered.BeginQuery(q.data());
+    QueryContext plain_ctx = plain.StartQuery(q.data(), {}).Value();
+    QueryContext filtered_ctx = filtered.StartQuery(q.data(), {}).Value();
 
     float best_plain = std::numeric_limits<float>::max();
     float best_filtered = std::numeric_limits<float>::max();
     uint32_t arg_plain = 0, arg_filtered = 0;
     for (uint32_t i = 0; i < n; ++i) {
-      const float dp = plain.DistanceWithBound(q.data(), i, best_plain);
+      const float dp = plain.DistanceWithBound(&plain_ctx, i, best_plain);
       if (dp < best_plain) {
         best_plain = dp;
         arg_plain = i;
       }
       const float df =
-          filtered.DistanceWithBound(q.data(), i, best_filtered);
+          filtered.DistanceWithBound(&filtered_ctx, i, best_filtered);
       if (df < best_filtered) {
         best_filtered = df;
         arg_filtered = i;

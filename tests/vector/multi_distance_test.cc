@@ -46,14 +46,15 @@ TEST(WeightedMultiDistanceTest, PrunedMatchesExactUnderLooseBound) {
   Rng rng(5);
   auto dist = WeightedMultiDistance::Create(TwoModality(), {1.5f, 0.7f});
   ASSERT_TRUE(dist.ok());
+  const ModalityWeights weights = dist->QueryWeights({}).Value();
   for (int t = 0; t < 100; ++t) {
     Vector q(7), o(7);
     for (auto& x : q) x = static_cast<float>(rng.Gaussian());
     for (auto& x : o) x = static_cast<float>(rng.Gaussian());
     const float exact = dist->Exact(q.data(), o.data());
-    DistanceStats stats;
+    DistanceCounts stats;
     const float pruned =
-        dist->Pruned(q.data(), o.data(), exact + 1.0f, &stats);
+        dist->Pruned(q.data(), o.data(), exact + 1.0f, weights, &stats);
     EXPECT_NEAR(pruned, exact, 1e-4);
     EXPECT_EQ(stats.full_computations, 1u);
     EXPECT_EQ(stats.pruned_computations, 0u);
@@ -66,8 +67,9 @@ TEST(WeightedMultiDistanceTest, PrunedAbandonsAndCounts) {
   auto dist = WeightedMultiDistance::Create(schema, {1.0f, 1.0f});
   ASSERT_TRUE(dist.ok());
   Vector q(64, 0.0f), o(64, 1.0f);  // true distance = 64
-  DistanceStats stats;
-  const float d = dist->Pruned(q.data(), o.data(), 5.0f, &stats);
+  DistanceCounts stats;
+  const float d = dist->Pruned(q.data(), o.data(), 5.0f,
+                               dist->QueryWeights({}).Value(), &stats);
   EXPECT_GT(d, 5.0f);
   EXPECT_EQ(stats.pruned_computations, 1u);
   EXPECT_EQ(stats.full_computations, 0u);
@@ -162,7 +164,8 @@ TEST_P(MultiDistanceSweep, PrunedIsSound) {
     for (auto& x : b) x = static_cast<float>(rng.Gaussian());
     const float exact = dist->Exact(a.data(), b.data());
     const float bound = static_cast<float>(rng.UniformDouble() * dim);
-    const float pruned = dist->Pruned(a.data(), b.data(), bound, nullptr);
+    const float pruned = dist->Pruned(a.data(), b.data(), bound,
+                                      dist->QueryWeights({}).Value(), nullptr);
     if (exact <= bound) {
       EXPECT_NEAR(pruned, exact, 1e-3);
     } else {

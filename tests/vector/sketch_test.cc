@@ -126,15 +126,17 @@ TEST(MultiVectorComputerSketchTest, PrefilterInactiveWithoutBeginQuery) {
   BitSketchIndex sketches(schema);
   sketches.Rebuild(store);
   MultiVectorDistanceComputer dist(&store, *wd, /*enable_pruning=*/true);
-  dist.SetSketches(&sketches);
-
   const Vector q = RandomRow(schema.TotalDim(), &rng);
-  // No BeginQuery: the per-thread sketch cache does not match this
-  // (computer, query) pair, so every distance is computed for real.
+  // The query started before the sketches were attached, so it carries no
+  // query sketch and every distance is computed for real.
+  QueryContext ctx = dist.StartQuery(q.data(), {}).Value();
+  dist.SetSketches(&sketches);
   for (uint32_t i = 0; i < 32; ++i) {
-    (void)dist.DistanceWithBound(q.data(), i, 0.0f);
+    (void)dist.DistanceWithBound(&ctx, i, 0.0f);
   }
-  EXPECT_EQ(dist.stats().sketch_rejects.load(), 0u);
+  EXPECT_EQ(ctx.counts.sketch_rejects, 0u);
+  EXPECT_EQ(ctx.counts.full_computations + ctx.counts.pruned_computations,
+            32u);
 }
 
 TEST(MultiVectorComputerSketchTest, TightBoundProducesSketchRejects) {
@@ -153,12 +155,14 @@ TEST(MultiVectorComputerSketchTest, TightBoundProducesSketchRejects) {
   dist.SetSketches(&sketches);
 
   const Vector q = RandomRow(schema.TotalDim(), &rng);
-  dist.BeginQuery(q.data());
-  // A bound of zero is below every lower bound with at least one sign
-  // mismatch, so the sketch should reject a healthy fraction outright.
-  for (uint32_t i = 0; i < n; ++i) {
-    const float d = dist.DistanceWithBound(q.data(), i, 0.0f);
-    EXPECT_GT(d, 0.0f);
+  {
+    QueryContext ctx = dist.StartQuery(q.data(), {}).Value();
+    // A bound of zero is below every lower bound with at least one sign
+    // mismatch, so the sketch should reject a healthy fraction outright.
+    for (uint32_t i = 0; i < n; ++i) {
+      const float d = dist.DistanceWithBound(&ctx, i, 0.0f);
+      EXPECT_GT(d, 0.0f);
+    }
   }
   EXPECT_GT(dist.stats().sketch_rejects.load(), 0u);
   EXPECT_LE(dist.stats().sketch_rejects.load(), n);
@@ -182,13 +186,13 @@ TEST(MultiVectorComputerSketchTest, ScaleOneIsDecisionIdentical) {
   filtered.SetSketches(&sketches, /*scale=*/1.0f);
 
   const Vector q = RandomRow(schema.TotalDim(), &rng);
-  plain.BeginQuery(q.data());
-  filtered.BeginQuery(q.data());
+  QueryContext plain_ctx = plain.StartQuery(q.data(), {}).Value();
+  QueryContext filtered_ctx = filtered.StartQuery(q.data(), {}).Value();
   float best_p = std::numeric_limits<float>::max();
   float best_f = std::numeric_limits<float>::max();
   for (uint32_t i = 0; i < n; ++i) {
-    const float dp = plain.DistanceWithBound(q.data(), i, best_p);
-    const float df = filtered.DistanceWithBound(q.data(), i, best_f);
+    const float dp = plain.DistanceWithBound(&plain_ctx, i, best_p);
+    const float df = filtered.DistanceWithBound(&filtered_ctx, i, best_f);
     if (dp < best_p) best_p = dp;
     if (df < best_f) best_f = df;
     // Accepted candidates (distance within bound) must agree bitwise; a
@@ -217,15 +221,14 @@ TEST(MultiVectorComputerSketchTest, ObjectsPastSketchEndAreNotFiltered) {
   MultiVectorDistanceComputer dist(&store, *wd, /*enable_pruning=*/true);
   dist.SetSketches(&sketches);
   const Vector q = RandomRow(schema.TotalDim(), &rng);
-  dist.BeginQuery(q.data());
-  const uint64_t before = dist.stats().sketch_rejects.load();
+  QueryContext ctx = dist.StartQuery(q.data(), {}).Value();
   // ids 8 and 9 are beyond the sketch index: must compute, never reject.
   // An infinite bound keeps the incremental scan from abandoning, so the
   // returned distances are exact.
   const float inf = std::numeric_limits<float>::max();
-  const float d8 = dist.DistanceWithBound(q.data(), 8, inf);
-  const float d9 = dist.DistanceWithBound(q.data(), 9, inf);
-  EXPECT_EQ(dist.stats().sketch_rejects.load(), before);
+  const float d8 = dist.DistanceWithBound(&ctx, 8, inf);
+  const float d9 = dist.DistanceWithBound(&ctx, 9, inf);
+  EXPECT_EQ(ctx.counts.sketch_rejects, 0u);
   EXPECT_FLOAT_EQ(d8, wd->Exact(q.data(), store.data(8)));
   EXPECT_FLOAT_EQ(d9, wd->Exact(q.data(), store.data(9)));
 }

@@ -88,10 +88,13 @@ TEST(FlatDistanceComputerTest, ComputesMetricDistances) {
   ASSERT_TRUE(store.Add({3, 4}).ok());
   FlatDistanceComputer dist(&store, Metric::kL2);
   const Vector q = {0, 0};
-  EXPECT_FLOAT_EQ(dist.Distance(q.data(), 1), 25.0f);
+  QueryContext ctx = dist.StartQuery(q.data(), {}).Value();
+  EXPECT_FLOAT_EQ(dist.Distance(&ctx, 1), 25.0f);
+  // A single-vector distance has no modality weights to override.
+  EXPECT_EQ(dist.StartQuery(q.data(), {1.0f}).status().code(),
+            StatusCode::kInvalidArgument);
   EXPECT_FLOAT_EQ(dist.DistanceBetween(0, 1), 25.0f);
   EXPECT_EQ(dist.size(), 2u);
-  EXPECT_EQ(dist.dim(), 2u);
 }
 
 TEST(MultiVectorDistanceComputerTest, TracksStatsAndHonorsPruningFlag) {
@@ -103,15 +106,24 @@ TEST(MultiVectorDistanceComputerTest, TracksStatsAndHonorsPruningFlag) {
 
   MultiVectorDistanceComputer pruned(&store, *wd, /*enable_pruning=*/true);
   const Vector q(5, 0.0f);
-  const float d = pruned.DistanceWithBound(q.data(), 1, 1.0f);
-  EXPECT_GT(d, 1.0f);
+  {
+    QueryContext ctx = pruned.StartQuery(q.data(), {}).Value();
+    const float d = pruned.DistanceWithBound(&ctx, 1, 1.0f);
+    EXPECT_GT(d, 1.0f);
+    EXPECT_EQ(ctx.counts.pruned_computations, 1u);
+    // The search's counters reach the shared stats when it ends.
+    EXPECT_EQ(pruned.stats().TotalComputations(), 0u);
+  }
   EXPECT_EQ(pruned.stats().pruned_computations, 1u);
   pruned.ResetStats();
   EXPECT_EQ(pruned.stats().TotalComputations(), 0u);
 
   MultiVectorDistanceComputer unpruned(&store, *wd, /*enable_pruning=*/false);
-  const float full = unpruned.DistanceWithBound(q.data(), 1, 1.0f);
-  EXPECT_FLOAT_EQ(full, 500.0f);
+  {
+    QueryContext ctx = unpruned.StartQuery(q.data(), {}).Value();
+    const float full = unpruned.DistanceWithBound(&ctx, 1, 1.0f);
+    EXPECT_FLOAT_EQ(full, 500.0f);
+  }
   EXPECT_EQ(unpruned.stats().full_computations, 1u);
   EXPECT_EQ(unpruned.stats().pruned_computations, 0u);
 }
@@ -151,9 +163,17 @@ TEST(MultiVectorDistanceComputerTest, SetWeightsChangesDistances) {
   ASSERT_TRUE(wd.ok());
   MultiVectorDistanceComputer dist(&store, *wd, true);
   const Vector q(5, 0.0f);
-  EXPECT_FLOAT_EQ(dist.Distance(q.data(), 0), 1.0f);
+  QueryContext before = dist.StartQuery(q.data(), {}).Value();
+  EXPECT_FLOAT_EQ(dist.Distance(&before, 0), 1.0f);
   ASSERT_TRUE(dist.SetWeights({4.0f, 1.0f}).ok());
-  EXPECT_FLOAT_EQ(dist.Distance(q.data(), 0), 4.0f);
+  QueryContext after = dist.StartQuery(q.data(), {}).Value();
+  EXPECT_FLOAT_EQ(dist.Distance(&after, 0), 4.0f);
+  // A search keeps the weights it started with.
+  EXPECT_FLOAT_EQ(dist.Distance(&before, 0), 1.0f);
+  // A query may override the build weights for its own search only.
+  QueryContext skewed = dist.StartQuery(q.data(), {2.0f, 0.0f}).Value();
+  EXPECT_FLOAT_EQ(dist.Distance(&skewed, 0), 2.0f);
+  EXPECT_FALSE(dist.StartQuery(q.data(), {1.0f}).ok());
 }
 
 }  // namespace
