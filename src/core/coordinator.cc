@@ -1,5 +1,6 @@
 #include "core/coordinator.h"
 
+#include "common/check.h"
 #include "common/clock.h"
 #include "common/fault.h"
 #include "common/logging.h"
@@ -282,12 +283,30 @@ void Coordinator::InstallFramework(std::unique_ptr<RetrievalFramework> fw,
   }
 }
 
+Status Coordinator::DialogueState::Select(size_t rank) {
+  if (rank >= last_results.size()) {
+    return Status::OutOfRange(
+        "rank " + std::to_string(rank) + " out of range (last turn had " +
+        std::to_string(last_results.size()) + " results)");
+  }
+  selected = last_results[rank].id;
+  return Status::OK();
+}
+
+void Coordinator::DialogueState::Clear() {
+  rewriter.Clear();
+  prompt.ClearHistory();
+  last_results.clear();
+  selected.reset();
+}
+
 Result<AnswerTurn> Coordinator::Ask(const UserQuery& query) {
-  return AskWithState(query, nullptr);
+  return AskWithState(query, &dialogue_);
 }
 
 Result<AnswerTurn> Coordinator::AskWithState(const UserQuery& query,
                                              DialogueState* state) {
+  MQA_CHECK(state != nullptr) << "AskWithState needs a dialogue state";
   static Counter* const turns =
       MetricsRegistry::Global().GetCounter("coordinator/turns");
   static Counter* const degraded_turns =
@@ -307,6 +326,7 @@ Result<AnswerTurn> Coordinator::AskWithState(const UserQuery& query,
   }();
   if (!result.ok()) return result;
   AnswerTurn turn = std::move(result).Value();
+  state->last_results = turn.items;
   turn.trace = std::move(trace);
   if (turn.degraded) degraded_turns->Increment();
   if (turn.trace != nullptr && config_.observability.explain_turns) {
@@ -318,10 +338,6 @@ Result<AnswerTurn> Coordinator::AskWithState(const UserQuery& query,
 
 Result<AnswerTurn> Coordinator::RunTurn(const UserQuery& query,
                                         DialogueState* state) {
-  // Dialogue state: the caller's per-session copy on the serving path,
-  // the coordinator's own single-conversation members otherwise.
-  ContextualQueryRewriter& rewriter =
-      state != nullptr ? state->rewriter : rewriter_;
   AnswerTurn turn;
   if (config_.enable_knowledge_base) {
     Timer timer;
@@ -330,7 +346,8 @@ Result<AnswerTurn> Coordinator::RunTurn(const UserQuery& query,
     UserQuery effective = query;
     if (config_.rewrite_vague_queries && !query.text.empty()) {
       Span rewrite_span("coordinator/rewrite");
-      Result<std::string> rewritten = rewriter.RewriteChecked(query.text);
+      Result<std::string> rewritten =
+          state->rewriter.RewriteChecked(query.text);
       if (rewritten.ok()) {
         effective.text = std::move(rewritten).Value();
         if (effective.text != query.text) {
@@ -349,7 +366,7 @@ Result<AnswerTurn> Coordinator::RunTurn(const UserQuery& query,
         return rewritten.status();
       }
     }
-    if (!query.text.empty()) rewriter.ObserveTurn(query.text);
+    if (!query.text.empty()) state->rewriter.ObserveTurn(query.text);
     MQA_ASSIGN_OR_RETURN(QueryOutcome outcome,
                          executor_->Execute(effective, config_.search));
     for (const std::string& note : outcome.degradation) {
@@ -367,19 +384,9 @@ Result<AnswerTurn> Coordinator::RunTurn(const UserQuery& query,
   GenerationOutcome generation;
   {
     Span span("coordinator/answer");
-    if (state != nullptr) {
-      // Serving path: generate against the session's own prompt history
-      // (GenerateTurn is const and thread-safe across sessions).
-      MQA_ASSIGN_OR_RETURN(
-          turn.answer,
-          answer_generator_->GenerateTurn(query.text, turn.items,
-                                          &state->prompt, &generation));
-    } else {
-      MQA_ASSIGN_OR_RETURN(
-          turn.answer, answer_generator_->Generate(query.text, turn.items));
-      generation.used_fallback = answer_generator_->last_used_fallback();
-      generation.failure = answer_generator_->last_failure();
-    }
+    MQA_ASSIGN_OR_RETURN(
+        turn.answer, answer_generator_->GenerateTurn(
+                         query.text, turn.items, &state->prompt, &generation));
   }
   if (generation.used_fallback) {
     turn.degradation_notes.push_back(
@@ -584,11 +591,6 @@ Status Coordinator::SetWeights(std::vector<float> weights) {
   MQA_RETURN_NOT_OK(framework_->SetWeights(weights));
   weights_ = std::move(weights);
   return Status::OK();
-}
-
-void Coordinator::ResetDialogue() {
-  answer_generator_->ClearHistory();
-  rewriter_.Clear();
 }
 
 }  // namespace mqa

@@ -3,6 +3,7 @@
 
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,28 +57,35 @@ class Coordinator {
       const MqaConfig& config, KnowledgeBase kb, VectorStore store,
       std::vector<float> weights, std::istream* index_blob);
 
-  /// Per-conversation dialogue state, externalized so a serving layer can
-  /// keep one per session: the query rewriter's topical history and the
-  /// prompt builder's turn history. The coordinator's own Ask() keeps
-  /// using its internal (single-conversation) state.
+  /// One conversation: the query rewriter's topical history, the prompt
+  /// builder's turn history, the last round's results and the clicked
+  /// result. Every turn runs against one (AskWithState); Ask() runs
+  /// against the coordinator's own default conversation. How long a
+  /// selection lasts is the caller's policy: a Session keeps it across
+  /// rounds, the Server consumes it after one turn.
   struct DialogueState {
     ContextualQueryRewriter rewriter;
     PromptBuilder prompt;
+    std::vector<RetrievedItem> last_results;  ///< of the last OK round
+    std::optional<uint64_t> selected;         ///< clicked result's id
 
-    void Clear() {
-      rewriter.Clear();
-      prompt.ClearHistory();
-    }
+    /// Selects result `rank` (0-based) of the last round as feedback.
+    Status Select(size_t rank);
+
+    /// Forgets everything: a fresh conversation.
+    void Clear();
   };
 
-  /// Runs one QA round end to end.
+  /// Runs one QA round of the default conversation: AskWithState on
+  /// dialogue().
   Result<AnswerTurn> Ask(const UserQuery& query);
 
-  /// Ask() against caller-owned dialogue state. With distinct `state`
-  /// objects this is safe to call from concurrent threads (the serving
-  /// path): all per-turn mutable state lives in `state`, and the framework's
-  /// Retrieve is thread-safe. `state` must be non-null and externally
-  /// serialized per conversation.
+  /// Runs one QA round end to end against caller-owned dialogue state and
+  /// records its results in `state->last_results`. With distinct `state`
+  /// objects this is safe to call from concurrent threads: all per-turn
+  /// mutable state lives in `state`, and the framework's Retrieve is
+  /// thread-safe. `state` must be non-null and externally serialized per
+  /// conversation.
   Result<AnswerTurn> AskWithState(const UserQuery& query,
                                   DialogueState* state);
 
@@ -131,7 +139,9 @@ class Coordinator {
   }
   const WeightTrainReport& train_report() const { return train_report_; }
   const BuildReport& build_report() const { return build_report_; }
-  AnswerGenerator* answer_generator() { return answer_generator_.get(); }
+  const AnswerGenerator* answer_generator() const {
+    return answer_generator_.get();
+  }
   /// Null when the knowledge base is disabled (LLM-only mode).
   QueryExecutor* executor() { return executor_.get(); }
 
@@ -139,8 +149,11 @@ class Coordinator {
   /// observability.trace_build is off).
   const Trace* build_trace() const { return build_trace_.get(); }
 
-  /// Resets the dialogue history (a fresh conversation).
-  void ResetDialogue();
+  /// The default conversation behind Ask().
+  const DialogueState& dialogue() const { return dialogue_; }
+
+  /// Starts the default conversation afresh.
+  void ResetDialogue() { dialogue_.Clear(); }
 
  private:
   Coordinator() = default;
@@ -166,8 +179,7 @@ class Coordinator {
   void InstallFramework(std::unique_ptr<RetrievalFramework> fw,
                         const BuildReport& report);
 
-  /// The body of Ask(): runs under the turn's ambient trace. A null
-  /// `state` uses the coordinator's single-conversation members.
+  /// The body of AskWithState(): runs under the turn's ambient trace.
   Result<AnswerTurn> RunTurn(const UserQuery& query, DialogueState* state);
 
   /// Auto-compaction gate: threshold + interval throttle + breaker. Only
@@ -187,7 +199,7 @@ class Coordinator {
   std::shared_ptr<Trace> build_trace_;
   std::unique_ptr<QueryExecutor> executor_;
   std::unique_ptr<AnswerGenerator> answer_generator_;
-  ContextualQueryRewriter rewriter_;
+  DialogueState dialogue_;  ///< the default conversation behind Ask()
   std::unique_ptr<CircuitBreaker> compaction_breaker_;
   int64_t last_compaction_micros_ = 0;  ///< 0 = never compacted
   uint64_t compactions_ = 0;

@@ -5,8 +5,8 @@ namespace mqa {
 Result<AnswerTurn> Session::Ask(const std::string& text) {
   UserQuery query;
   query.text = text;
-  query.selected_object = selected_;
-  return Run(std::move(query));
+  query.selected_object = dialogue_.selected;
+  return Run(query);
 }
 
 Result<AnswerTurn> Session::AskWithImage(const std::string& text,
@@ -14,29 +14,19 @@ Result<AnswerTurn> Session::AskWithImage(const std::string& text,
   UserQuery query;
   query.text = text;
   query.uploaded_image = std::move(image);
-  return Run(std::move(query));
+  return Run(query);
 }
 
-Result<AnswerTurn> Session::Run(UserQuery query) {
-  MQA_ASSIGN_OR_RETURN(AnswerTurn turn, coordinator_->Ask(query));
-  last_results_ = turn.items;
+Result<AnswerTurn> Session::Run(const UserQuery& query) {
+  MQA_ASSIGN_OR_RETURN(AnswerTurn turn,
+                       coordinator_->AskWithState(query, &dialogue_));
   ++rounds_;
   return turn;
 }
 
-Status Session::Select(size_t rank) {
-  if (rank >= last_results_.size()) {
-    return Status::OutOfRange("no result at rank " + std::to_string(rank));
-  }
-  selected_ = last_results_[rank].id;
-  return Status::OK();
-}
-
 void Session::Reset() {
-  last_results_.clear();
-  selected_.reset();
+  dialogue_.Clear();
   rounds_ = 0;
-  coordinator_->ResetDialogue();
 }
 
 }  // namespace mqa

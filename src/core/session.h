@@ -10,9 +10,13 @@
 namespace mqa {
 
 /// An interactive multi-round dialogue over a Coordinator — the QA panel's
-/// behaviour: ask in text, click a result, refine, repeat. The clicked
-/// result's image augments every subsequent query until a new selection or
-/// Reset() (the paper's iterative refinement feedback loop).
+/// behaviour: ask in text, click a result, refine, repeat. Each Session
+/// owns its conversation (a Coordinator::DialogueState), so any number of
+/// Sessions share one coordinator without sharing history, results or
+/// selection; distinct Sessions may run on concurrent threads. The clicked
+/// result's image augments every subsequent query of this Session until a
+/// new selection or Reset() (the paper's iterative refinement feedback
+/// loop) — the selection persists across rounds.
 class Session {
  public:
   /// `coordinator` is borrowed and must outlive the session.
@@ -25,25 +29,26 @@ class Session {
   Result<AnswerTurn> AskWithImage(const std::string& text, Payload image);
 
   /// Selects result `rank` (0-based) from the last round as feedback.
-  Status Select(size_t rank);
+  Status Select(size_t rank) { return dialogue_.Select(rank); }
 
   /// Id of the currently selected object, if any.
-  std::optional<uint64_t> selection() const { return selected_; }
+  std::optional<uint64_t> selection() const { return dialogue_.selected; }
 
   const std::vector<RetrievedItem>& last_results() const {
-    return last_results_;
+    return dialogue_.last_results;
   }
+  /// This Session's conversation (histories, results, selection).
+  const Coordinator::DialogueState& dialogue() const { return dialogue_; }
   size_t rounds() const { return rounds_; }
 
   /// Clears the selection, results, and dialogue history.
   void Reset();
 
  private:
-  Result<AnswerTurn> Run(UserQuery query);
+  Result<AnswerTurn> Run(const UserQuery& query);
 
   Coordinator* coordinator_;
-  std::vector<RetrievedItem> last_results_;
-  std::optional<uint64_t> selected_;
+  Coordinator::DialogueState dialogue_;
   size_t rounds_ = 0;
 };
 

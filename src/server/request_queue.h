@@ -10,11 +10,14 @@
 
 namespace mqa {
 
+/// Why TryPush did or did not enqueue.
+enum class PushResult { kPushed, kFull, kClosed };
+
 /// The server's admission-control primitive: a bounded MPMC queue that
 /// *never blocks producers*. `TryPush` fails immediately when the queue is
 /// at capacity (the caller surfaces kResourceExhausted — backpressure
-/// instead of unbounded buffering), while consumers block in `Pop` until
-/// an item or shutdown arrives.
+/// instead of unbounded buffering) or closed (shut down — not overload),
+/// while consumers block in `Pop` until an item or shutdown arrives.
 ///
 /// `SetPaused(true)` parks consumers even when items are pending; the
 /// overload tests use it to fill the queue deterministically without
@@ -28,15 +31,16 @@ class BoundedQueue {
   BoundedQueue(const BoundedQueue&) = delete;
   BoundedQueue& operator=(const BoundedQueue&) = delete;
 
-  /// Enqueues unless full or closed. Never blocks.
-  [[nodiscard]] bool TryPush(T item) {
+  /// Enqueues unless closed or full, and says which. Never blocks.
+  [[nodiscard]] PushResult TryPush(T item) {
     {
       MutexLock lock(&mu_);
-      if (closed_ || items_.size() >= capacity_) return false;
+      if (closed_) return PushResult::kClosed;
+      if (items_.size() >= capacity_) return PushResult::kFull;
       items_.push_back(std::move(item));
     }
     cv_.NotifyOne();
-    return true;
+    return PushResult::kPushed;
   }
 
   /// Blocks until an item is available (and the queue is not paused) or

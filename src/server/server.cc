@@ -1,6 +1,7 @@
 #include "server/server.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "common/logging.h"
@@ -149,64 +150,49 @@ Status Server::CloseSession(uint64_t session_id) {
   return Status::OK();
 }
 
-std::shared_ptr<Server::ServerSession> Server::FindSession(
+Result<std::shared_ptr<Server::ServerSession>> Server::FindSession(
     uint64_t session_id) const {
   MutexLock lock(&mu_);
   auto it = sessions_.find(session_id);
-  return it == sessions_.end() ? nullptr : it->second;
+  if (it == sessions_.end()) {
+    return Status::NotFound("unknown session " + std::to_string(session_id));
+  }
+  return it->second;
 }
 
 Status Server::ResetSession(uint64_t session_id) {
-  std::shared_ptr<ServerSession> session = FindSession(session_id);
-  if (session == nullptr) {
-    return Status::NotFound("unknown session " + std::to_string(session_id));
-  }
+  MQA_ASSIGN_OR_RETURN(std::shared_ptr<ServerSession> session,
+                       FindSession(session_id));
   MutexLock lock(&session->mu);
   session->dialogue.Clear();
-  session->last_results.clear();
-  session->selected.reset();
   return Status::OK();
 }
 
 Status Server::Select(uint64_t session_id, size_t rank) {
-  std::shared_ptr<ServerSession> session = FindSession(session_id);
-  if (session == nullptr) {
-    return Status::NotFound("unknown session " + std::to_string(session_id));
-  }
+  MQA_ASSIGN_OR_RETURN(std::shared_ptr<ServerSession> session,
+                       FindSession(session_id));
   MutexLock lock(&session->mu);
-  if (rank >= session->last_results.size()) {
-    return Status::OutOfRange(
-        "rank " + std::to_string(rank) + " out of range (last turn had " +
-        std::to_string(session->last_results.size()) + " results)");
-  }
-  session->selected = session->last_results[rank].id;
-  return Status::OK();
+  return session->dialogue.Select(rank);
 }
 
 Result<std::vector<RetrievedItem>> Server::LastResults(
     uint64_t session_id) const {
-  std::shared_ptr<ServerSession> session = FindSession(session_id);
-  if (session == nullptr) {
-    return Status::NotFound("unknown session " + std::to_string(session_id));
-  }
+  MQA_ASSIGN_OR_RETURN(std::shared_ptr<ServerSession> session,
+                       FindSession(session_id));
   MutexLock lock(&session->mu);
-  return session->last_results;
+  return session->dialogue.last_results;
 }
 
 Result<size_t> Server::DialogueHistorySize(uint64_t session_id) const {
-  std::shared_ptr<ServerSession> session = FindSession(session_id);
-  if (session == nullptr) {
-    return Status::NotFound("unknown session " + std::to_string(session_id));
-  }
+  MQA_ASSIGN_OR_RETURN(std::shared_ptr<ServerSession> session,
+                       FindSession(session_id));
   MutexLock lock(&session->mu);
   return session->dialogue.prompt.history_size();
 }
 
 Status Server::Submit(uint64_t session_id, UserQuery query, AskCallback done) {
-  std::shared_ptr<ServerSession> session = FindSession(session_id);
-  if (session == nullptr) {
-    return Status::NotFound("unknown session " + std::to_string(session_id));
-  }
+  MQA_ASSIGN_OR_RETURN(std::shared_ptr<ServerSession> session,
+                       FindSession(session_id));
   const ServerMetrics& metrics = Metrics();
   metrics.submitted->Increment();
 
@@ -233,8 +219,12 @@ Status Server::Submit(uint64_t session_id, UserQuery query, AskCallback done) {
 
   // Step 2: bounded queue — full means backpressure, not buffering. The
   // rejection also feeds the breaker: a full queue is the overload signal
-  // that eventually trips it.
-  if (!queue_.TryPush(std::move(turn))) {
+  // that eventually trips it. A closed queue is shutdown, not overload.
+  const PushResult pushed = queue_.TryPush(std::move(turn));
+  if (pushed == PushResult::kClosed) {
+    return Status::FailedPrecondition("server is shut down");
+  }
+  if (pushed == PushResult::kFull) {
     shed_queue_full_.fetch_add(1, std::memory_order_relaxed);
     metrics.shed_queue_full->Increment();
     breaker_.RecordFailure();
@@ -304,15 +294,12 @@ void Server::RunTurn(PendingTurn turn) {
     MutexLock session_lock(&session.mu);
     UserQuery query = std::move(turn.query);
     query.deadline_micros = turn.deadline_micros;
-    if (!query.selected_object.has_value() && session.selected.has_value()) {
-      query.selected_object = session.selected;  // the feedback loop
+    // The feedback loop; the server's selection is one-shot.
+    if (!query.selected_object.has_value()) {
+      query.selected_object = session.dialogue.selected;
     }
-    session.selected.reset();
+    session.dialogue.selected.reset();
     result = coordinator_->AskWithState(query, &session.dialogue);
-    if (result.ok()) {
-      session.last_results = result.Value().items;
-      ++session.turns;
-    }
   }
 
   metrics.turn_latency_ms->Record(

@@ -6,7 +6,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -58,7 +57,8 @@ struct ServerStatsSnapshot {
 ///      accepted again (half-open probes re-admit traffic gradually).
 ///   2. *Queue*: TryPush on the bounded queue; at capacity the turn is
 ///      rejected with kResourceExhausted — backpressure, never unbounded
-///      buffering.
+///      buffering. After Shutdown the queue is closed and Submit returns
+///      kFailedPrecondition, which is neither a shed nor a breaker failure.
 ///   3. *Deadline*: each turn carries an absolute deadline (from
 ///      ServingOptions::default_deadline_ms or the query's own
 ///      deadline_micros); a worker sheds turns that expired while queued
@@ -67,9 +67,11 @@ struct ServerStatsSnapshot {
 /// Inside the workers, cross-query batching: encode and graph-search
 /// calls from concurrent turns are coalesced by two Batchers (installed
 /// as ExecutionHooks on the coordinator's QueryExecutor); batches from
-/// different workers run in parallel. Per-turn dialogue state (rewriter
-/// history, prompt history, result selection) lives in a per-session
-/// ServerSession, so concurrent sessions never share conversational state.
+/// different workers run in parallel. Each session's conversation is its
+/// own Coordinator::DialogueState (rewriter history, prompt history, last
+/// results, selection), so concurrent sessions never share conversational
+/// state. A selection is one-shot: it augments the session's next turn
+/// only.
 ///
 /// Lock ordering (see DESIGN.md "Serving & batching"): Server::mu_ (the
 /// session map) is never held across a turn; a worker holds one
@@ -78,9 +80,10 @@ struct ServerStatsSnapshot {
 /// batch functions take no further mqa locks.
 ///
 /// Thread-safe. While a Server is serving, do not call mutating
-/// Coordinator operations (SetFramework, SetWeights, IngestObject,
-/// ResetDialogue) directly — they swap the executor/framework under the
-/// workers.
+/// Coordinator operations (SetFramework, SetWeights, IngestObject)
+/// directly — they swap the executor/framework under the workers.
+/// Coordinator::ResetDialogue resets only the coordinator's own default
+/// conversation and never touches a session (ResetSession does).
 class Server {
  public:
   /// Builds the full system from `config` (Coordinator::Create) and
@@ -106,13 +109,15 @@ class Server {
   Status ResetSession(uint64_t session_id);
 
   /// Marks result `rank` of the session's last turn as selected: the next
-  /// turn of that session runs image-assisted by the clicked result (the
-  /// paper's feedback loop), unless the query carries its own selection.
+  /// turn of that session — that one only — runs image-assisted by the
+  /// clicked result (the paper's feedback loop), unless the query carries
+  /// its own selection.
   Status Select(uint64_t session_id, size_t rank);
 
   /// Asynchronous turn: admission control runs synchronously (non-OK
-  /// return = the turn was shed and `done` will never fire); once
-  /// admitted, `done` is invoked exactly once from a worker thread.
+  /// return = the turn was shed, or the server is shut down, and `done`
+  /// will never fire); once admitted, `done` is invoked exactly once from
+  /// a worker thread.
   Status Submit(uint64_t session_id, UserQuery query, AskCallback done);
 
   /// Blocking turn: Submit + wait. Admission failures surface directly.
@@ -148,16 +153,12 @@ class Server {
   }
 
  private:
-  /// Per-session conversational state. `mu` serializes the session's
-  /// turns (two queued turns of one session never interleave) and guards
-  /// everything below it.
+  /// One session's conversation. `mu` serializes the session's turns (two
+  /// queued turns of one session never interleave) and guards the state.
   struct ServerSession {
     uint64_t id = 0;
     Mutex mu;
     Coordinator::DialogueState dialogue MQA_GUARDED_BY(mu);
-    std::vector<RetrievedItem> last_results MQA_GUARDED_BY(mu);
-    std::optional<uint64_t> selected MQA_GUARDED_BY(mu);
-    uint64_t turns MQA_GUARDED_BY(mu) = 0;
   };
 
   /// One admitted turn in the request queue.
@@ -176,7 +177,9 @@ class Server {
   void InstallBatchers();
   void WorkerLoop();
   void RunTurn(PendingTurn turn);
-  std::shared_ptr<ServerSession> FindSession(uint64_t session_id) const;
+  /// The open session `session_id`, or NotFound.
+  Result<std::shared_ptr<ServerSession>> FindSession(
+      uint64_t session_id) const;
 
   std::unique_ptr<Coordinator> coordinator_;
   ServingOptions options_;

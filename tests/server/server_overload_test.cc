@@ -86,6 +86,30 @@ TEST_F(ServerOverloadTest, QueueFullShedsWithResourceExhausted) {
   EXPECT_EQ(server->stats().failed, 0u);
 }
 
+TEST_F(ServerOverloadTest, SubmitAfterShutdownIsRejectedNotShed) {
+  MockClock clock;
+  std::unique_ptr<Server> server =
+      MakeServer(&clock, /*queue_capacity=*/2, /*breaker_threshold=*/3);
+  ASSERT_NE(server, nullptr);
+  const uint64_t session = server->OpenSession();
+  server->Shutdown();
+
+  // A shut-down server is not overloaded: every turn is refused with a
+  // non-retryable status, nothing counts as shed, and the breaker — which
+  // would trip after three overload signals — stays closed.
+  for (int i = 0; i < 6; ++i) {
+    Result<AnswerTurn> turn = server->Ask(session, Query(server.get()));
+    ASSERT_FALSE(turn.ok());
+    EXPECT_EQ(turn.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_FALSE(turn.status().IsRetryable());
+    EXPECT_NE(turn.status().message().find("shut down"), std::string::npos);
+  }
+  EXPECT_EQ(server->stats().shed_queue_full, 0u);
+  EXPECT_EQ(server->stats().accepted, 0u);
+  EXPECT_EQ(server->breaker().state(), BreakerState::kClosed);
+  EXPECT_EQ(server->queue_depth(), 0u);
+}
+
 TEST_F(ServerOverloadTest, BreakerTripsOpensAndRecoversOnSchedule) {
   MockClock clock;
   std::unique_ptr<Server> server =
