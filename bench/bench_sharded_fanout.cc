@@ -4,10 +4,12 @@
 // check on brute-force shards, which must reproduce the unsharded top-k
 // bit for bit). Scenario "faulty" arms per-shard fault points — error
 // faults on half the shards, latency spikes on the other half — and
-// reports what the robustness machinery did about them: hedge rate,
-// hedge-win rate, degraded fraction (fan-outs missing at least one shard)
-// and the fraction of queries that still completed.
+// reports what the robustness machinery did about them: degraded fraction
+// (fan-outs missing at least one shard), the fraction of queries that
+// still completed, and searches per admitted shard (each shard the breaker
+// lets through is searched exactly once, so this must be 1).
 
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -29,8 +31,7 @@ struct ScenarioResult {
   double recall = 0;        ///< mean hit rate vs the brute-force oracle
   double completed = 0;     ///< fraction of queries that returned ok
   double degraded = 0;      ///< fraction of ok fan-outs missing a shard
-  double hedge_rate = 0;    ///< hedged shard attempts / shard attempts
-  double hedge_wins = 0;    ///< hedge attempts that beat their primary
+  size_t admitted = 0;      ///< shard attempts not skipped by a breaker
   size_t breaker_skips = 0;
   size_t errors = 0;
 };
@@ -45,7 +46,7 @@ ScenarioResult RunScenario(RetrievalFramework* framework,
                            const SearchParams& params) {
   ScenarioResult out;
   size_t ok = 0;
-  size_t attempts = 0, hedged = 0, hedge_won = 0, degraded = 0;
+  size_t degraded = 0;
   double recall_sum = 0;
   Timer timer;
   for (size_t q = 0; q < queries.size(); ++q) {
@@ -53,10 +54,11 @@ ScenarioResult RunScenario(RetrievalFramework* framework,
     if (sharded != nullptr) {
       const FanoutReport& report = sharded->last_report();
       for (const ShardOutcome& o : report.shards) {
-        ++attempts;
-        if (o.hedged) ++hedged;
-        if (o.hedge_won) ++hedge_won;
-        if (o.kind == ShardOutcomeKind::kBreakerOpen) ++out.breaker_skips;
+        if (o.kind == ShardOutcomeKind::kBreakerOpen) {
+          ++out.breaker_skips;
+        } else {
+          ++out.admitted;
+        }
         if (o.kind == ShardOutcomeKind::kError) ++out.errors;
       }
       if (result.ok() && report.ok_count < report.shards.size()) ++degraded;
@@ -70,11 +72,6 @@ ScenarioResult RunScenario(RetrievalFramework* framework,
   out.completed =
       static_cast<double>(ok) / static_cast<double>(queries.size());
   out.recall = ok > 0 ? recall_sum / static_cast<double>(ok) : 0;
-  if (attempts > 0) {
-    out.hedge_rate =
-        static_cast<double>(hedged) / static_cast<double>(attempts);
-  }
-  out.hedge_wins = static_cast<double>(hedge_won);
   if (ok > 0) {
     out.degraded = static_cast<double>(degraded) / static_cast<double>(ok);
   }
@@ -186,15 +183,14 @@ int Run(const bench::BenchArgs& args) {
       sharded_graph->get(), sharded_graph->get(), queries, truth, params);
 
   // Faulty scenario: shards 0-1 flap with seeded error faults, shards 2-3
-  // suffer occasional real latency spikes (which the adaptive hedge
-  // threshold turns into hedge attempts).
+  // suffer occasional real latency spikes. Every admitted shard passes
+  // its fault point once per fan-out, so the points' summed hits count
+  // the searches.
   FaultInjector::Global().Seed(97);
   ScenarioResult faulty;
+  double searches_per_admitted = 0;
   {
-    ShardOptions faulty_options = clean_options;
-    faulty_options.hedge_percentile = 95.0;
-    faulty_options.hedge_min_samples = 16;
-    auto fw = make_sharded(graph_index, faulty_options);
+    auto fw = make_sharded(graph_index, clean_options);
     if (!fw.ok()) {
       std::fprintf(stderr, "%s\n", fw.status().ToString().c_str());
       return 1;
@@ -210,17 +206,24 @@ int Run(const bench::BenchArgs& args) {
     ScopedFault f2("shard/2/search", spike);
     ScopedFault f3("shard/3/search", spike);
     faulty = RunScenario(fw->get(), fw->get(), queries, truth, params);
+    uint64_t hits = 0;
+    for (size_t s = 0; s < kNumShards; ++s) {
+      hits += FaultInjector::Global()
+                  .stats("shard/" + std::to_string(s) + "/search")
+                  .hits;
+    }
+    if (faulty.admitted > 0) {
+      searches_per_admitted = static_cast<double>(hits) /
+                              static_cast<double>(faulty.admitted);
+    }
   }
   FaultInjector::Global().DisarmAll();
 
   bench::Table table({"scenario", "qps", "recall@10", "completed",
-                      "degraded", "hedge rate", "hedge wins", "brk skips",
-                      "errors"});
+                      "degraded", "brk skips", "errors"});
   auto add_row = [&table](const std::string& name, const ScenarioResult& r) {
     table.AddRow({name, FormatDouble(r.qps, 1), FormatDouble(r.recall, 3),
                   FormatDouble(r.completed, 3), FormatDouble(r.degraded, 3),
-                  FormatDouble(r.hedge_rate, 3),
-                  FormatDouble(r.hedge_wins, 0),
                   std::to_string(r.breaker_skips),
                   std::to_string(r.errors)});
   };
@@ -231,6 +234,8 @@ int Run(const bench::BenchArgs& args) {
   table.Print();
   std::printf("\nexact-merge parity (sharded bruteforce vs oracle): %s\n",
               FormatDouble(parity, 4).c_str());
+  std::printf("faulty searches per admitted shard: %s\n",
+              FormatDouble(searches_per_admitted, 3).c_str());
 
   if (!args.json_path.empty()) {
     bench::JsonReporter report("bench_sharded_fanout");
@@ -246,8 +251,8 @@ int Run(const bench::BenchArgs& args) {
     report.AddMetric("faulty/qps", faulty.qps);
     report.AddMetric("faulty/completed_fraction", faulty.completed);
     report.AddMetric("faulty/degraded_fraction", faulty.degraded);
-    report.AddMetric("faulty/hedge_rate", faulty.hedge_rate);
-    report.AddMetric("faulty/hedge_wins", faulty.hedge_wins);
+    report.AddMetric("faulty/searches_per_admitted_shard",
+                     searches_per_admitted);
     if (!report.WriteToFile(args.json_path)) return 1;
   }
   return 0;

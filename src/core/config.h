@@ -133,8 +133,9 @@ struct MqaConfig {
   // --- Retrieval ---
   std::string framework = "must";  ///< "must" | "mr" | "je"
   /// Fault-isolated sharded retrieval over `framework` (src/shard/):
-  /// partitioned corpus, fan-out with per-shard breakers, hedging and a
-  /// partial-result quorum. Off by default (single index, as before).
+  /// partitioned corpus, one search per shard merged into one top-k, with
+  /// per-shard breakers and a partial-result quorum. Off by default
+  /// (single index, as before).
   ShardOptions shard;
   SearchParams search;             ///< default k and beam width
   /// Resolve vague follow-ups ("show me more") against dialogue history

@@ -108,6 +108,16 @@ ConfigKey NoiseKey(const char* name, size_t slot) {
           }};
 }
 
+/// The key of a removed option: a config.txt saved before the removal
+/// still holds it, so it parses (any value) and is ignored; it is never
+/// printed.
+ConfigKey RetiredKey(const char* name) {
+  return {name, [](const std::string&, MqaConfig*) { return Status::OK(); },
+          [](const MqaConfig&) -> std::optional<std::string> {
+            return std::nullopt;
+          }};
+}
+
 #define MQA_FIELD(path) [](auto& c) -> auto& { return c.path; }
 
 /// Every key the config text knows, in print order. The order matters
@@ -173,9 +183,9 @@ const std::vector<ConfigKey>& ConfigKeys() {
       Bind("shard.num_shards", MQA_FIELD(shard.num_shards)),
       Bind("shard.quorum", MQA_FIELD(shard.quorum)),
       Bind("shard.partition", MQA_FIELD(shard.partition)),
-      Bind("shard.hedge_percentile", MQA_FIELD(shard.hedge_percentile)),
-      Bind("shard.hedge_min_samples", MQA_FIELD(shard.hedge_min_samples)),
-      Bind("shard.deadline_fraction", MQA_FIELD(shard.deadline_fraction)),
+      RetiredKey("shard.hedge_percentile"),
+      RetiredKey("shard.hedge_min_samples"),
+      RetiredKey("shard.deadline_fraction"),
       Bind("shard.fanout_threads", MQA_FIELD(shard.fanout_threads)),
       Bind("shard.breaker_threshold",
            MQA_FIELD(shard.breaker_failure_threshold)),

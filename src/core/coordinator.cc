@@ -56,7 +56,7 @@ std::unique_ptr<LanguageModel> MaybeWrapLlm(std::unique_ptr<LanguageModel> llm,
 /// `saved_graph` loads the MUST graph instead of building it (the caller
 /// passes one only for unsharded MUST). The shard layer inherits the
 /// resilience clock unless it carries its own, so MockClock tests drive
-/// breaker cool-downs and deadline slices from one source.
+/// breaker cool-downs and turn deadlines from one source.
 Result<std::unique_ptr<RetrievalFramework>> BuildFramework(
     const MqaConfig& config, std::shared_ptr<const VectorStore> store,
     std::vector<float> weights, std::istream* saved_graph,

@@ -182,9 +182,6 @@ Result<QueryOutcome> QueryExecutor::Execute(const UserQuery& query,
   QueryOutcome outcome;
   MQA_ASSIGN_OR_RETURN(RetrievalQuery rq,
                        EncodeUserQuery(query, &outcome.degradation));
-  // Deadline-aware frameworks (the sharded fan-out) slice their per-shard
-  // time budgets from the turn deadline.
-  rq.deadline_micros = query.deadline_micros;
   SearchParams effective = params;
   if (query.object_filter) {
     const KnowledgeBase* kb = kb_;
@@ -203,12 +200,10 @@ Result<QueryOutcome> QueryExecutor::Execute(const UserQuery& query,
             : framework_->Retrieve(rq, effective);
     if (retrieved.ok()) {
       outcome.retrieval = std::move(retrieved).Value();
-    } else if (resilience_ && retrieved.status().IsRetryable() &&
-               retrieved.status().code() != StatusCode::kDeadlineExceeded) {
+    } else if (resilience_ && retrieved.status().IsRetryable()) {
       // Transient retrieval outage (e.g. the shard quorum was missed):
       // degrade to an answer without retrieved context instead of failing
-      // the round. Deadline expiries still propagate — the serving layer
-      // sheds those, and a late answer helps nobody.
+      // the round.
       outcome.degradation.push_back(
           "retrieval unavailable (" + retrieved.status().message() +
           "); answering without retrieved context");

@@ -25,10 +25,6 @@ namespace mqa {
 struct RetrievalQuery {
   MultiVector modalities;
   std::vector<float> weights;
-  /// Absolute deadline in the framework clock's epoch (0 = none). Flows
-  /// from UserQuery through the executor and batching hooks; the sharded
-  /// layer derives per-shard deadline slices from it.
-  int64_t deadline_micros = 0;
 };
 
 /// What a retrieval round returns.

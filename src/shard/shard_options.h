@@ -12,14 +12,14 @@ class Clock;
 /// Disabled by default: the coordinator builds the single-index framework
 /// exactly as before. When enabled, the encoded corpus is partitioned into
 /// `num_shards` independent per-shard frameworks; queries fan out on a
-/// thread pool and merge per-shard top-k, with per-shard circuit breakers,
-/// hedged requests and a partial-result quorum bounding the blast radius
-/// of a slow or faulty shard.
+/// thread pool, search each admitted shard once and merge the per-shard
+/// top-k, with per-shard circuit breakers and a partial-result quorum
+/// bounding the blast radius of a faulty shard.
 struct ShardOptions {
   bool enable = false;
   size_t num_shards = 4;  ///< clamped to the corpus size at build time
 
-  /// Minimum shards that must respond in time for a query to succeed
+  /// Minimum shards that must answer for a query to succeed
   /// (clamped to [1, num_shards]). Fewer responders => kUnavailable; more
   /// but not all => success with a shard-coverage degradation note.
   size_t quorum = 1;
@@ -29,20 +29,10 @@ struct ShardOptions {
   /// placement).
   std::string partition = "round-robin";
 
-  /// Hedging: when a shard's primary attempt exceeds this percentile of
-  /// its own latency histogram, a hedge attempt is issued against the same
-  /// shard and the faster of the two wins. 0 disables hedging; thresholds
-  /// only activate once the histogram holds `hedge_min_samples` samples.
-  double hedge_percentile = 95.0;
-  size_t hedge_min_samples = 16;
-
-  /// Fraction of the query's remaining deadline budget granted to each
-  /// shard attempt (per-shard deadline slice). Only applies to queries
-  /// carrying a deadline.
-  double deadline_fraction = 0.5;
-
   /// Fan-out pool width (0 = min(num_shards, hardware)). Chaos tests set 1
-  /// so shard attempts execute sequentially and MockClock time is exact.
+  /// so shard attempts run in shard order and a seeded fault schedule
+  /// replays exactly: a latency spike that advances the shared MockClock
+  /// then reaches the other shards' breakers at the same point every run.
   size_t fanout_threads = 0;
 
   // Per-shard circuit breaker: a repeatedly failing shard is skipped (not
@@ -51,8 +41,8 @@ struct ShardOptions {
   double breaker_open_ms = 1000.0;
   int breaker_half_open_successes = 2;
 
-  /// Non-owning clock driving deadline slices, latency measurement and
-  /// breaker cool-downs. Null = the real SystemClock.
+  /// Non-owning clock driving the fan-out latency metric and breaker
+  /// cool-downs. Null = the real SystemClock.
   Clock* clock = nullptr;
 };
 

@@ -31,8 +31,6 @@ const char* ShardOutcomeKindToString(ShardOutcomeKind kind) {
       return "ok";
     case ShardOutcomeKind::kError:
       return "error";
-    case ShardOutcomeKind::kTimeout:
-      return "timeout";
     case ShardOutcomeKind::kBreakerOpen:
       return "breaker-open";
   }
@@ -98,15 +96,12 @@ Result<std::unique_ptr<ShardedRetrieval>> ShardedRetrieval::Create(
   fw->options_.num_shards = shards.size();
   fw->options_.quorum = std::max<size_t>(
       1, std::min(fw->options_.quorum, fw->options_.num_shards));
-  if (!(fw->options_.deadline_fraction > 0.0) ||
-      fw->options_.deadline_fraction > 1.0) {
-    fw->options_.deadline_fraction = 1.0;
-  }
 
   // --- Build per-shard frameworks concurrently. ---
-  // A dedicated build pool, not DefaultThreadPool(): the inner index
-  // builds call ParallelFor on the default pool, and ParallelFor must not
-  // be entered from a task already running on that same pool.
+  // A build-scoped pool sized to the shard count, not DefaultThreadPool():
+  // every shard builds at once whatever else the shared pool is running,
+  // a Create called from a default-pool task never waits on its own pool,
+  // and the build threads are joined before Create returns.
   const size_t num_shards = shards.size();
   std::vector<Result<std::unique_ptr<RetrievalFramework>>> built;
   built.reserve(num_shards);
@@ -165,11 +160,8 @@ Result<std::unique_ptr<ShardedRetrieval>> ShardedRetrieval::Create(
   fw->fanouts_ = metrics.GetCounter("shard/fanouts");
   fw->degraded_ = metrics.GetCounter("shard/degraded_fanouts");
   fw->quorum_failures_ = metrics.GetCounter("shard/quorum_failures");
-  fw->hedges_ = metrics.GetCounter("shard/hedges");
-  fw->hedge_wins_ = metrics.GetCounter("shard/hedge_wins");
   fw->breaker_skips_ = metrics.GetCounter("shard/breaker_skips");
   fw->shard_errors_ = metrics.GetCounter("shard/shard_errors");
-  fw->shard_timeouts_ = metrics.GetCounter("shard/shard_timeouts");
   fw->fanout_ms_ = metrics.GetHistogram("shard/fanout_ms");
 
   if (report != nullptr) {
@@ -269,10 +261,8 @@ Status ShardedRetrieval::IngestAppended(const GraphBuildConfig& config) {
 void ShardedRetrieval::RunShardAttempt(size_t shard_index,
                                        const RetrievalQuery& query,
                                        const SearchParams& params,
-                                       int64_t budget_micros,
                                        ShardAttempt* out) const {
   Shard& shard = *shards_[shard_index];
-  Clock* clk = clock();
 
   // Gate: an open breaker skips the shard outright — no retry pressure on
   // a known-bad fault domain, healthy shards carry the query.
@@ -295,80 +285,22 @@ void ShardedRetrieval::RunShardAttempt(size_t shard_index,
     };
   }
 
-  // One request against this shard's data: fault point first (the shard's
-  // injectable failure domain), then the real per-shard search. Elapsed
-  // time flows through the framework clock, so injected latency spikes on
-  // a MockClock are observed exactly.
-  auto attempt_once = [&](Result<RetrievalResult>* result) -> double {
-    const int64_t start = clk->NowMicros();
-    const Status injected = FaultInjector::Global().Check(shard.fault_point);
-    if (injected.ok()) {
-      *result = shard.framework->Retrieve(query, local_params);
-    } else {
-      *result = injected;
-    }
-    return static_cast<double>(clk->NowMicros() - start) / 1e3;
-  };
-
-  // Adaptive hedge threshold: a percentile of this shard's own history,
-  // frozen before the primary attempt so the spike being judged does not
-  // move its own bar.
-  double threshold_ms = -1.0;
-  if (options_.hedge_percentile > 0.0 &&
-      shard.latency_hist.count() >=
-          static_cast<uint64_t>(options_.hedge_min_samples)) {
-    threshold_ms =
-        shard.latency_hist.Snapshot().Percentile(options_.hedge_percentile);
-  }
-
-  Result<RetrievalResult> primary = Status::Internal("unset");
-  const double primary_ms = attempt_once(&primary);
-  shard.latency_hist.Record(primary_ms);
-
-  Result<RetrievalResult> winner = std::move(primary);
-  double effective_ms = primary_ms;
-  // Hedge: the primary crossed the shard's adaptive threshold, so a real
-  // deployment would have a second request in flight since threshold_ms.
-  // Evaluate that race on virtual time (see the class comment): hedge
-  // completion = threshold + hedge latency; the faster outcome wins.
-  if (threshold_ms >= 0.0 && primary_ms > threshold_ms) {
-    out->outcome.hedged = true;
-    hedges_->Increment();
-    Result<RetrievalResult> hedge = Status::Internal("unset");
-    const double hedge_ms = attempt_once(&hedge);
-    const double hedge_done_ms = threshold_ms + hedge_ms;
-    if (hedge.ok() && (!winner.ok() || hedge_done_ms < effective_ms)) {
-      winner = std::move(hedge);
-      effective_ms = hedge_done_ms;
-      out->outcome.hedge_won = true;
-      hedge_wins_->Increment();
-    }
-  }
-  out->outcome.latency_ms = effective_ms;
-
-  if (!winner.ok()) {
+  // One search against this shard's data: the shard's injectable failure
+  // domain first, then the real per-shard search.
+  const Status injected = FaultInjector::Global().Check(shard.fault_point);
+  Result<RetrievalResult> result =
+      injected.ok() ? shard.framework->Retrieve(query, local_params)
+                    : Result<RetrievalResult>(injected);
+  // Only retryable statuses count as shard failures inside Record.
+  shard.breaker->Record(result.status());
+  if (!result.ok()) {
     out->outcome.kind = ShardOutcomeKind::kError;
-    out->outcome.status = winner.status();
+    out->outcome.status = result.status();
     shard_errors_->Increment();
-    // Only retryable statuses count as shard failures inside Record.
-    shard.breaker->Record(winner.status());
     return;
   }
-  // Deadline slice: a result arriving after this shard's budget cannot be
-  // waited for by the merge — it is dropped, and the miss feeds the
-  // breaker like any other failure of the fault domain.
-  if (budget_micros > 0 &&
-      effective_ms * 1e3 > static_cast<double>(budget_micros)) {
-    out->outcome.kind = ShardOutcomeKind::kTimeout;
-    out->outcome.status = Status::DeadlineExceeded(
-        "shard " + std::to_string(shard_index) + " exceeded its deadline slice");
-    shard_timeouts_->Increment();
-    shard.breaker->RecordFailure();
-    return;
-  }
-  shard.breaker->RecordSuccess();
   out->outcome.kind = ShardOutcomeKind::kOk;
-  out->result = std::move(winner).Value();
+  out->result = std::move(result).Value();
 }
 
 Result<RetrievalResult> ShardedRetrieval::Retrieve(
@@ -377,20 +309,6 @@ Result<RetrievalResult> ShardedRetrieval::Retrieve(
   fanouts_->Increment();
   Clock* clk = clock();
   const int64_t start_micros = clk->NowMicros();
-
-  // Per-shard deadline slice: a fraction of the remaining budget, so the
-  // merge and answer stages keep headroom after the slowest shard.
-  int64_t budget_micros = 0;
-  if (query.deadline_micros > 0) {
-    const int64_t remaining = query.deadline_micros - start_micros;
-    if (remaining <= 0) {
-      return Status::DeadlineExceeded(
-          "query deadline expired before shard fan-out");
-    }
-    budget_micros = std::max<int64_t>(
-        1, static_cast<int64_t>(static_cast<double>(remaining) *
-                                options_.deadline_fraction));
-  }
 
   // Tombstoned global ids are excluded twice: the composed filter keeps
   // them out of every shard search, and the merge below drops any that
@@ -413,8 +331,8 @@ Result<RetrievalResult> ShardedRetrieval::Retrieve(
   }
   for (size_t s = 0; s < num_shards; ++s) {
     fanout_pool_->Post(
-        [this, s, &query, &effective, budget_micros, &state, &attempts] {
-          RunShardAttempt(s, query, effective, budget_micros, &attempts[s]);
+        [this, s, &query, &effective, &state, &attempts] {
+          RunShardAttempt(s, query, effective, &attempts[s]);
           MutexLock lock(&state.mu);
           --state.pending;
           state.cv.NotifyAll();

@@ -20,9 +20,8 @@ namespace mqa {
 
 /// How one shard's participation in one fan-out ended.
 enum class ShardOutcomeKind {
-  kOk,           ///< responded in time; its top-k entered the merge
-  kError,        ///< attempt (and hedge, if any) failed
-  kTimeout,      ///< responded after its deadline slice; result dropped
+  kOk,           ///< searched; its top-k entered the merge
+  kError,        ///< its search (or its fault point) failed
   kBreakerOpen,  ///< skipped outright: its circuit breaker is open
 };
 
@@ -32,10 +31,7 @@ const char* ShardOutcomeKindToString(ShardOutcomeKind kind);
 /// on these instead of on process-global metrics).
 struct ShardOutcome {
   ShardOutcomeKind kind = ShardOutcomeKind::kOk;
-  double latency_ms = 0.0;  ///< effective latency (hedge-adjusted)
-  bool hedged = false;      ///< a hedge attempt was issued
-  bool hedge_won = false;   ///< the hedge beat the primary
-  Status status;            ///< detail for kError / kBreakerOpen
+  Status status;  ///< detail for kError / kBreakerOpen
 };
 
 struct FanoutReport {
@@ -54,16 +50,14 @@ struct FanoutReport {
 ///  * Fault domains: every shard attempt passes the FaultInjector point
 ///    `shard/<id>/search` and its own CircuitBreaker; a repeatedly failing
 ///    shard is skipped (not retried) while healthy shards keep serving.
-///  * Hedged requests: a primary attempt slower than an adaptive threshold
-///    (a percentile of the shard's own latency histogram) is raced against
-///    a hedge attempt on the same shard; the faster result wins. Because
-///    the repo forbids timed waits, the hedge is evaluated *after* the
-///    primary completes, on virtual time: the hedge is modeled as launched
-///    the moment the primary crossed the threshold, so its completion time
-///    is threshold + hedge_latency — equivalent schedules, zero timers.
-///  * Partial-result quorum: per-shard deadline slices are derived from
-///    the query deadline; a query succeeds when >= quorum shards respond
-///    in time. Missing shards surface as stats.shards_ok < shards_total
+///  * Once per shard: each admitted shard is searched exactly once per
+///    fan-out, and Retrieve waits for every one of them. A shard search is
+///    deterministic and has no replica, so a second search of the same
+///    shard could only return the same ids, and dropping a slow shard's
+///    finished result would save no time. The turn deadline is enforced
+///    once, before execution, by QueryExecutor.
+///  * Partial-result quorum: a query succeeds when >= quorum shards
+///    answered. Missing shards surface as stats.shards_ok < shards_total
 ///    (a degradation note upstream), never as silently truncated results.
 ///
 /// Thread-safety: like every RetrievalFramework, concurrent Retrieve calls
@@ -76,8 +70,8 @@ class ShardedRetrieval : public RetrievalFramework {
  public:
   /// Partitions `corpus`, builds one `framework_name` framework per shard
   /// (concurrently, on a build-scoped pool) and assembles the fan-out
-  /// layer. `options.clock` (null = SystemClock) is captured for deadline
-  /// slices, latency measurement and breaker cool-downs. `report`
+  /// layer. `options.clock` (null = SystemClock) drives the fan-out
+  /// latency metric and the breaker cool-downs. `report`
   /// (optional) receives aggregate build statistics.
   static Result<std::unique_ptr<ShardedRetrieval>> Create(
       const std::string& framework_name,
@@ -85,11 +79,10 @@ class ShardedRetrieval : public RetrievalFramework {
       const IndexConfig& index_config, const ShardOptions& options,
       BuildReport* report = nullptr);
 
-  /// Fans out, merges, and enforces the quorum. Returns kDeadlineExceeded
-  /// when the query's deadline already passed, kUnavailable when fewer
-  /// than quorum shards responded (but a shard's non-retryable rejection
-  /// of the query itself when none did); otherwise the merged result, with
-  /// stats.shards_total/shards_ok recording coverage.
+  /// Fans out, merges, and enforces the quorum. Returns kUnavailable when
+  /// fewer than quorum shards answered (but a shard's non-retryable
+  /// rejection of the query itself when none did); otherwise the merged
+  /// result, with stats.shards_total/shards_ok recording coverage.
   Result<RetrievalResult> Retrieve(const RetrievalQuery& query,
                                    const SearchParams& params) const override;
 
@@ -145,16 +138,12 @@ class ShardedRetrieval : public RetrievalFramework {
 
  private:
   /// One fault domain: an independent slice of the corpus with its own
-  /// framework, breaker, latency histogram and metrics.
+  /// framework, breaker and fault point.
   struct Shard {
     std::shared_ptr<VectorStore> store;  ///< mutable: live ingestion appends
     std::vector<uint32_t> global_ids;  ///< local row id -> corpus id
     std::unique_ptr<RetrievalFramework> framework;
     std::unique_ptr<CircuitBreaker> breaker;
-    /// Per-instance latency distribution feeding the adaptive hedge
-    /// threshold (the process-global registry would bleed state across
-    /// instances and tests).
-    Histogram latency_hist{Histogram::DefaultLatencyBoundsMs()};
     std::string fault_point;  ///< "shard/<id>/search"
   };
 
@@ -168,11 +157,10 @@ class ShardedRetrieval : public RetrievalFramework {
 
   ShardedRetrieval() = default;
 
-  /// Runs one shard's gate -> primary -> (maybe) hedge -> classify
-  /// sequence. Never touches state shared with other shards.
+  /// Runs one shard's breaker gate -> one search -> classify sequence.
+  /// Never touches state shared with other shards.
   void RunShardAttempt(size_t shard_index, const RetrievalQuery& query,
-                       const SearchParams& params, int64_t budget_micros,
-                       ShardAttempt* out) const;
+                       const SearchParams& params, ShardAttempt* out) const;
 
   ShardOptions options_;
   std::string inner_name_;  ///< the per-shard framework name ("must", ...)
@@ -189,11 +177,8 @@ class ShardedRetrieval : public RetrievalFramework {
   Counter* fanouts_ = nullptr;
   Counter* degraded_ = nullptr;         ///< merged with missing shards
   Counter* quorum_failures_ = nullptr;  ///< fan-outs below quorum
-  Counter* hedges_ = nullptr;
-  Counter* hedge_wins_ = nullptr;
   Counter* breaker_skips_ = nullptr;
   Counter* shard_errors_ = nullptr;
-  Counter* shard_timeouts_ = nullptr;
   Histogram* fanout_ms_ = nullptr;
 };
 

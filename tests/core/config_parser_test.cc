@@ -105,9 +105,6 @@ TEST(ConfigParserTest, ParsesShardKeys) {
       "shard.num_shards = 8\n"
       "shard.quorum = 5\n"
       "shard.partition = hash\n"
-      "shard.hedge_percentile = 99\n"
-      "shard.hedge_min_samples = 32\n"
-      "shard.deadline_fraction = 0.75\n"
       "shard.fanout_threads = 2\n"
       "shard.breaker_threshold = 3\n"
       "shard.breaker_open_ms = 250\n");
@@ -116,9 +113,6 @@ TEST(ConfigParserTest, ParsesShardKeys) {
   EXPECT_EQ(config->shard.num_shards, 8u);
   EXPECT_EQ(config->shard.quorum, 5u);
   EXPECT_EQ(config->shard.partition, "hash");
-  EXPECT_DOUBLE_EQ(config->shard.hedge_percentile, 99.0);
-  EXPECT_EQ(config->shard.hedge_min_samples, 32u);
-  EXPECT_NEAR(config->shard.deadline_fraction, 0.75, 1e-6);
   EXPECT_EQ(config->shard.fanout_threads, 2u);
   EXPECT_EQ(config->shard.breaker_failure_threshold, 3);
   EXPECT_DOUBLE_EQ(config->shard.breaker_open_ms, 250.0);
@@ -126,6 +120,24 @@ TEST(ConfigParserTest, ParsesShardKeys) {
   auto defaults = ParseMqaConfig({});
   ASSERT_TRUE(defaults.ok());
   EXPECT_FALSE(defaults->shard.enable);
+}
+
+TEST(ConfigParserTest, RetiredShardKeysParseAndAreNotPrinted) {
+  // Config files saved before shard hedging and deadline slices were
+  // removed still carry their keys.
+  auto config = ParseMqaConfigText(
+      "shard.enable = true\n"
+      "shard.hedge_percentile = 95\n"
+      "shard.hedge_min_samples = 16\n"
+      "shard.deadline_fraction = 0.5\n");
+  ASSERT_TRUE(config.ok()) << config.status().ToString();
+  EXPECT_TRUE(config->shard.enable);
+  const std::string printed = MqaConfigToText(*config);
+  for (const char* key : {"shard.hedge_percentile", "shard.hedge_min_samples",
+                          "shard.deadline_fraction"}) {
+    EXPECT_EQ(printed.find(key), std::string::npos) << key;
+  }
+  EXPECT_NE(printed.find("shard.enable = true"), std::string::npos);
 }
 
 TEST(ConfigParserTest, RejectsUnknownKey) {

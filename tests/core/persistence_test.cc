@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <unistd.h>
 #include <utility>
@@ -114,6 +115,38 @@ TEST_F(PersistenceTest, LoadRejectsMissingOrCorruptedFiles) {
   EXPECT_FALSE(LoadSystemState(dir_.string()).ok());
 }
 
+TEST_F(PersistenceTest, SavedConfigWithRetiredShardKeysLoads) {
+  MqaConfig config = SmallConfig();
+  config.corpus_size = 200;
+  auto original = Coordinator::Create(config);
+  ASSERT_TRUE(original.ok());
+  ASSERT_TRUE(SaveSystemState(**original, dir_.string()).ok());
+  // The keys a config.txt written before shard hedging and deadline slices
+  // were removed still holds.
+  {
+    std::ofstream out(dir_ / "config.txt", std::ios::app);
+    out << "shard.hedge_percentile = 95\n"
+        << "shard.hedge_min_samples = 16\n"
+        << "shard.deadline_fraction = 0.5\n";
+  }
+  auto restored = LoadSystemState(dir_.string());
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ((*restored)->kb().size(), 200u);
+  UserQuery query;
+  query.text = "find " + (*restored)->world().ConceptName(1);
+  EXPECT_TRUE((*restored)->Ask(query).ok());
+
+  // Saving the restored system writes a config.txt without them.
+  const std::filesystem::path resaved = dir_ / "resaved";
+  ASSERT_TRUE(SaveSystemState(**restored, resaved.string()).ok());
+  std::ifstream in(resaved / "config.txt");
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_NE(text.find("corpus_size = 200"), std::string::npos);
+  EXPECT_EQ(text.find("hedge"), std::string::npos);
+  EXPECT_EQ(text.find("deadline_fraction"), std::string::npos);
+}
+
 TEST_F(PersistenceTest, ConfigTextRoundTrips) {
   MqaConfig config = SmallConfig();
   config.framework = "je";
@@ -180,9 +213,6 @@ TEST(ConfigTextTest, EveryKeyRoundTripsExactly) {
       {"shard.num_shards", "8"},
       {"shard.quorum", "5"},
       {"shard.partition", "hash"},
-      {"shard.hedge_percentile", "99.9"},
-      {"shard.hedge_min_samples", "32"},
-      {"shard.deadline_fraction", "0.75"},
       {"shard.fanout_threads", "2"},
       {"shard.breaker_threshold", "3"},
       {"shard.breaker_open_ms", "250"},
@@ -226,7 +256,6 @@ TEST(ConfigTextTest, EveryKeyRoundTripsExactly) {
   EXPECT_EQ(again->temperature, 0.123456f);
   EXPECT_EQ(again->index.graph.alpha, 1.3f);
   EXPECT_EQ(again->resilience.llm_initial_backoff_ms, 12.3456789);
-  EXPECT_EQ(again->shard.hedge_percentile, 99.9);
   EXPECT_EQ(again->world.modality_noise, (std::vector<float>{0.07f, 0.3f}));
   EXPECT_EQ(again->seed, 777u);
   EXPECT_EQ(again->world.seed, 5u);

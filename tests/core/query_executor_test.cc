@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/clock.h"
+#include "common/fault.h"
 #include "core/experiment.h"
 #include "retrieval/factory.h"
+#include "shard/sharded_retrieval.h"
 #include "vector/distance.h"
 
 namespace mqa {
@@ -133,6 +136,42 @@ TEST_F(QueryExecutorTest, WeightOverridePassesThrough) {
   auto rq = executor_->EncodeUserQuery(query);
   ASSERT_TRUE(rq.ok());
   EXPECT_EQ(rq->weights, (std::vector<float>{0.2f, 1.8f}));
+}
+
+TEST_F(QueryExecutorTest, ExpiredDeadlineFailsBeforeEncoding) {
+  // The turn deadline is checked once, in Execute, before any work: the
+  // same for one index as for a sharded fan-out.
+  IndexConfig index;
+  index.algorithm = "bruteforce";
+  ShardOptions shard_options;
+  shard_options.num_shards = 2;
+  auto sharded = ShardedRetrieval::Create(
+      "must", corpus_->represented.store, corpus_->represented.weights,
+      index, shard_options);
+  ASSERT_TRUE(sharded.ok());
+  struct Case {
+    const char* name;
+    RetrievalFramework* framework;
+  };
+  for (const Case& c : {Case{"unsharded", framework_},
+                        Case{"sharded", sharded->get()}}) {
+    SCOPED_TRACE(c.name);
+    MockClock clock(1'000'000);
+    QueryExecutor executor(corpus_->kb.get(), corpus_->encoders.get(),
+                           c.framework);
+    executor.SetClock(&clock);
+    ScopedFault encoder_fault("encoder/sim-text");
+    UserQuery query;
+    query.text = "find " + corpus_->world->ConceptName(3);
+    query.deadline_micros = 500'000;  // already in the past
+    SearchParams params;
+    params.k = 5;
+    params.beam_width = 32;
+    auto outcome = executor.Execute(query, params);
+    ASSERT_FALSE(outcome.ok());
+    EXPECT_EQ(outcome.status().code(), StatusCode::kDeadlineExceeded);
+    EXPECT_EQ(FaultInjector::Global().stats("encoder/sim-text").hits, 0u);
+  }
 }
 
 TEST(DescribeObjectTest, IncludesIdAndTexts) {

@@ -20,8 +20,8 @@ using ::mqa::testing::MakeSharded;
 using ::mqa::testing::PrepareShardCorpus;
 
 /// Chaos suite of the sharded fan-out. Every test runs on a MockClock —
-/// injected latency spikes, deadline slices, hedges and breaker cool-downs
-/// all advance virtual time only; the suite performs zero real sleeps.
+/// injected latency spikes and breaker cool-downs advance virtual time
+/// only; the suite performs zero real sleeps.
 ///
 /// The soak job (chaos-soak.yml) cranks the iteration count and rotates
 /// the fault schedule through MQA_CHAOS_ITERS / MQA_CHAOS_SEED.
@@ -64,7 +64,6 @@ class ShardChaosTest : public ::testing::Test {
     options.quorum = quorum;
     options.fanout_threads = 1;
     options.clock = &clock_;
-    options.hedge_percentile = 0.0;  // tests opt in explicitly
     return options;
   }
 
@@ -171,65 +170,39 @@ TEST_F(ShardChaosTest, BreakerIsolatesFlappingShardAndRecovers) {
   EXPECT_EQ(result->stats.shards_ok, 3u);
 }
 
-TEST_F(ShardChaosTest, HedgeFiresOnInjectedLatencySpike) {
-  ShardOptions options = ChaosOptions(2, 1);
-  options.hedge_percentile = 90.0;
-  options.hedge_min_samples = 4;
-  auto fw = MakeSharded(*corpus_, options, BruteForceIndex());
+TEST_F(ShardChaosTest, SlowShardIsSearchedOnceAndMerged) {
+  auto fw = MakeSharded(*corpus_, ChaosOptions(4, 1), BruteForceIndex());
   ASSERT_TRUE(fw.ok());
+  const RetrievalQuery rq = Query(3);
+  auto clean = (*fw)->Retrieve(rq, Params());
+  ASSERT_TRUE(clean.ok());
 
-  // Warm the per-shard latency histograms past hedge_min_samples; on the
-  // MockClock every clean attempt takes exactly 0 virtual ms.
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE((*fw)->Retrieve(Query(3), Params()).ok());
-    EXPECT_FALSE((*fw)->last_report().shards[0].hedged);
-  }
-
-  // One 500 virtual-ms spike on shard 0's primary attempt. The hedge —
-  // modeled as launched at the threshold crossing — completes first and
-  // wins; no real time passes.
+  // Warm-up fan-outs pass shard 0's fault point untouched; the one after
+  // them stalls for 500 virtual ms and still answers.
+  constexpr uint64_t kWarmup = 16;
   FaultSpec spike;
   spike.code = StatusCode::kOk;
   spike.latency_ms = 500.0;
-  spike.max_fires = 1;
+  spike.skip_first = kWarmup;
   ScopedFault slow("shard/0/search", spike);
-
-  auto result = (*fw)->Retrieve(Query(3), Params());
-  ASSERT_TRUE(result.ok());
-  const ShardOutcome outcome = (*fw)->last_report().shards[0];
-  EXPECT_EQ(outcome.kind, ShardOutcomeKind::kOk);
-  EXPECT_TRUE(outcome.hedged);
-  EXPECT_TRUE(outcome.hedge_won);
-  EXPECT_LT(outcome.latency_ms, 500.0);
-  EXPECT_EQ(result->stats.shards_ok, 2u);
-  EXPECT_EQ(result->neighbors.size(), 10u);
-}
-
-TEST_F(ShardChaosTest, DeadlineSliceDropsSlowShard) {
-  ShardOptions options = ChaosOptions(2, 1);
-  options.deadline_fraction = 0.5;
-  auto fw = MakeSharded(*corpus_, options, BruteForceIndex());
-  ASSERT_TRUE(fw.ok());
-
-  FaultSpec slow;
-  slow.code = StatusCode::kOk;
-  slow.latency_ms = 500.0;  // way past the 50ms slice
-  ScopedFault fault("shard/0/search", slow);
-
-  RetrievalQuery rq = Query(4);
-  rq.deadline_micros = clock_.NowMicros() + 100'000;
+  for (uint64_t i = 0; i < kWarmup; ++i) {
+    ASSERT_TRUE((*fw)->Retrieve(rq, Params()).ok());
+  }
   auto result = (*fw)->Retrieve(rq, Params());
   ASSERT_TRUE(result.ok());
-  const FanoutReport& report = (*fw)->last_report();
-  EXPECT_EQ(report.shards[0].kind, ShardOutcomeKind::kTimeout);
-  EXPECT_EQ(report.shards[1].kind, ShardOutcomeKind::kOk);
-  EXPECT_EQ(result->stats.shards_ok, 1u);
-  EXPECT_EQ(result->stats.shards_total, 2u);
-  // The late shard's rows are absent from the merge.
-  const auto& dropped = (*fw)->shard_global_ids(0);
-  for (const Neighbor& n : result->neighbors) {
-    EXPECT_EQ(std::find(dropped.begin(), dropped.end(), n.id), dropped.end())
-        << "id " << n.id << " leaked from the timed-out shard";
+
+  // The slow shard was searched once per fan-out and merged like the
+  // others: the result is the fault-free one.
+  const FaultPointStats stats = FaultInjector::Global().stats("shard/0/search");
+  EXPECT_EQ(stats.fires, 1u);
+  EXPECT_EQ(stats.hits, kWarmup + 1);
+  EXPECT_EQ(result->stats.shards_ok, result->stats.shards_total);
+  EXPECT_EQ((*fw)->last_report().shards[0].kind, ShardOutcomeKind::kOk);
+  ASSERT_EQ(result->neighbors.size(), clean->neighbors.size());
+  for (size_t i = 0; i < clean->neighbors.size(); ++i) {
+    EXPECT_EQ(result->neighbors[i].id, clean->neighbors[i].id) << i;
+    EXPECT_EQ(result->neighbors[i].distance, clean->neighbors[i].distance)
+        << i;
   }
 }
 
@@ -289,7 +262,6 @@ class ShardCoordinatorChaosTest : public ShardChaosTest {
     config.shard.num_shards = 3;
     config.shard.quorum = 2;
     config.shard.fanout_threads = 1;
-    config.shard.hedge_percentile = 0.0;
     config.resilience.enable = true;
     return config;
   }
@@ -332,6 +304,38 @@ TEST_F(ShardCoordinatorChaosTest, PartialCoverageSurfacesOnTheTurn) {
     if (note.find("shard coverage 2/3") != std::string::npos) noted = true;
   }
   EXPECT_TRUE(noted) << "missing shard-coverage degradation note";
+}
+
+TEST_F(ShardCoordinatorChaosTest, TurnWithDeadlineMergesSlowShard) {
+  MqaConfig config = ShardedConfig();
+  config.resilience.clock = &clock_;
+  auto coordinator = Coordinator::Create(config);
+  ASSERT_TRUE(coordinator.ok());
+  UserQuery query;
+  query.text = "a red object";
+  Coordinator::DialogueState clean_state;
+  auto clean = (*coordinator)->AskWithState(query, &clean_state);
+  ASSERT_TRUE(clean.ok()) << clean.status().message();
+
+  // Shard 0 answers 500 virtual ms into a turn with a 100 ms budget. The
+  // deadline is checked once, before execution; the fan-out still waits
+  // for and merges every shard it searched.
+  FaultSpec slow;
+  slow.code = StatusCode::kOk;
+  slow.latency_ms = 500.0;
+  ScopedFault fault("shard/0/search", slow);
+  query.deadline_micros = clock_.NowMicros() + 100'000;
+  Coordinator::DialogueState state;
+  auto turn = (*coordinator)->AskWithState(query, &state);
+  ASSERT_TRUE(turn.ok()) << turn.status().message();
+  EXPECT_EQ(FaultInjector::Global().stats("shard/0/search").hits, 1u);
+  EXPECT_EQ(turn->retrieval.stats.shards_ok, 3u);
+  EXPECT_EQ(turn->retrieval.stats.shards_total, 3u);
+  EXPECT_FALSE(turn->degraded);
+  ASSERT_EQ(turn->items.size(), clean->items.size());
+  for (size_t i = 0; i < clean->items.size(); ++i) {
+    EXPECT_EQ(turn->items[i].id, clean->items[i].id) << i;
+  }
 }
 
 }  // namespace

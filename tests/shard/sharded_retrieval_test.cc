@@ -6,7 +6,6 @@
 #include <limits>
 #include <set>
 
-#include "common/clock.h"
 #include "retrieval/factory.h"
 #include "shard_test_util.h"
 
@@ -204,24 +203,6 @@ TEST_F(ShardedRetrievalTest, NameSchemaAndBuildReport) {
             corpus_->represented.store->schema().num_modalities());
   EXPECT_NE(report.algorithm.find("2 shards"), std::string::npos)
       << report.algorithm;
-}
-
-TEST_F(ShardedRetrievalTest, ExpiredDeadlineShedsBeforeFanout) {
-  MockClock clock(1'000'000);
-  ShardOptions options;
-  options.num_shards = 2;
-  options.clock = &clock;
-  auto fw = MakeSharded(*corpus_, options, BruteForceIndex());
-  ASSERT_TRUE(fw.ok());
-  Rng rng(2);
-  RetrievalQuery rq = TextQueryFor(0, &rng);
-  rq.deadline_micros = 500'000;  // already in the past
-  SearchParams params;
-  params.k = 5;
-  params.beam_width = 32;
-  auto result = (*fw)->Retrieve(rq, params);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
 }
 
 TEST_F(ShardedRetrievalTest, MalformedQueryIsRejectedNotUnavailable) {
