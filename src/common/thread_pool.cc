@@ -100,11 +100,4 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-ThreadPool& DefaultThreadPool() {
-  // Intentionally leaked so worker shutdown never races static destruction.
-  static ThreadPool* pool =  // NOLINT(mqa-naked-new)
-      new ThreadPool(std::max(1u, std::thread::hardware_concurrency()));
-  return *pool;
-}
-
 }  // namespace mqa

@@ -14,8 +14,9 @@
 namespace mqa {
 
 /// A fixed-size worker pool. Tasks are `std::function<void()>`; `Submit`
-/// returns a future for completion/exception propagation. Used by the DAG
-/// engine and by parallel index construction.
+/// returns a future for completion/exception propagation. Used by the
+/// sharded retrieval framework: one pool builds the shards concurrently,
+/// another fans each query out to them.
 class ThreadPool {
  public:
   /// Creates `num_threads` workers (at least 1).
@@ -35,7 +36,7 @@ class ThreadPool {
   /// Fire-and-forget enqueue: no promise/future is allocated. The task
   /// must not throw (an escaping exception is logged and swallowed);
   /// completion must be tracked out of band (e.g. a counter + CondVar,
-  /// as the DAG scheduler does).
+  /// as the shard fan-out does).
   void Post(std::function<void()> task);
 
   /// Runs fn(i) for i in [0, n) across the pool and blocks until all
@@ -66,9 +67,6 @@ class ThreadPool {
   std::queue<std::unique_ptr<Task>> queue_ MQA_GUARDED_BY(mu_);
   bool shutdown_ MQA_GUARDED_BY(mu_) = false;
 };
-
-/// A process-wide default pool sized to the hardware concurrency.
-ThreadPool& DefaultThreadPool();
 
 }  // namespace mqa
 

@@ -132,9 +132,8 @@ Result<std::unique_ptr<Coordinator>> Coordinator::Assemble(
   MQA_LOG(Info) << "simd: distance kernels at level "
                 << SimdLevelName(ActiveSimdLevel());
 
-  // Trace the offline pipeline: stage spans below nest under the root,
-  // and DAG stages dispatched to pool threads re-attach via the ambient
-  // trace (see DagPipeline::Run).
+  // Trace the offline pipeline: stage spans below, including the graph
+  // build's dag/<stage> spans, nest under the root via the ambient trace.
   if (config.observability.trace_build) {
     c->build_trace_ = std::make_shared<Trace>(
         saved != nullptr ? "restore" : "offline-build",

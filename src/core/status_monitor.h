@@ -40,9 +40,9 @@ struct StatusEvent {
 /// kMaxHistory events are kept: every served turn emits a few, so an
 /// unbounded history would grow with uptime.
 ///
-/// Thread-safe: pipeline stages running on the DAG executor may Emit
-/// concurrently, so the history is mutex-guarded and `history()` returns a
-/// snapshot. The subscriber callback is invoked outside the lock (a
+/// Thread-safe: concurrent turns (server workers, caller threads) Emit at
+/// the same time, so the history is mutex-guarded and `history()` returns
+/// a snapshot. The subscriber callback is invoked outside the lock (a
 /// callback that re-enters the monitor must not assume ordering against
 /// concurrent emitters).
 class StatusMonitor {

@@ -43,25 +43,29 @@ uint32_t AdjacencyGraph::MaxDegree() const {
   return max_deg;
 }
 
-uint32_t AdjacencyGraph::ReachableFrom(uint32_t start) const {
-  if (start >= num_nodes()) return 0;
+std::vector<bool> AdjacencyGraph::ReachableSet(uint32_t start) const {
   std::vector<bool> visited(num_nodes(), false);
+  if (start >= num_nodes()) return visited;
   std::queue<uint32_t> frontier;
   frontier.push(start);
   visited[start] = true;
-  uint32_t count = 1;
   while (!frontier.empty()) {
     const uint32_t u = frontier.front();
     frontier.pop();
     for (uint32_t v : adj_[u]) {
       if (!visited[v]) {
         visited[v] = true;
-        ++count;
         frontier.push(v);
       }
     }
   }
-  return count;
+  return visited;
+}
+
+uint32_t AdjacencyGraph::ReachableFrom(uint32_t start) const {
+  const std::vector<bool> reachable = ReachableSet(start);
+  return static_cast<uint32_t>(
+      std::count(reachable.begin(), reachable.end(), true));
 }
 
 Status AdjacencyGraph::Save(std::ostream& out) const {

@@ -49,7 +49,11 @@ class AdjacencyGraph {
   double AverageDegree() const;
   uint32_t MaxDegree() const;
 
-  /// Number of nodes reachable from `start` (BFS over out-edges).
+  /// Marks the nodes reachable from `start` (BFS over out-edges); all
+  /// false when `start` is out of range.
+  std::vector<bool> ReachableSet(uint32_t start) const;
+
+  /// Number of nodes reachable from `start`.
   uint32_t ReachableFrom(uint32_t start) const;
 
   /// True when every node is reachable from `start`.

@@ -1,18 +1,19 @@
 #include "graph/pipeline.h"
 
 #include <algorithm>
-#include <queue>
 #include <unordered_set>
 
+#include "common/metrics.h"
 #include "common/timer.h"
 #include "common/tombstones.h"
+#include "common/trace.h"
 #include "graph/nn_descent.h"
 
 namespace mqa {
 
 namespace {
 
-/// Mutable state threaded through the pipeline stages via the DAG context.
+/// Mutable state threaded through the pipeline stages.
 struct BuildState {
   GraphBuildConfig config;
   const VectorStore* store = nullptr;
@@ -22,17 +23,50 @@ struct BuildState {
   Rng rng{42};
 };
 
-constexpr char kStateKey[] = "build_state";
+/// One named stage of the construction pipeline.
+struct Stage {
+  const char* name;
+  Status (*run)(BuildState*);
+};
 
-Result<BuildState*> GetState(dag::DagContext* ctx) {
-  return ctx->Get<BuildState>(kStateKey);
+/// Links vertex `u` (whose vector is `vec`) into `graph`, DiskANN style:
+/// beam-search for `vec` from `entries`, pool the evaluated vertices with
+/// u's current neighbors, RobustPrune the pool into u's list, then insert
+/// reverse edges, pruning a neighbor's list on overflow. Returns u's new
+/// neighbor list.
+std::vector<uint32_t> LinkVertex(AdjacencyGraph* graph, DistanceComputer* dist,
+                                 const float* vec, uint32_t u,
+                                 const std::vector<uint32_t>& entries,
+                                 float alpha, uint32_t max_degree,
+                                 uint32_t beam) {
+  std::vector<Neighbor> evaluated;
+  QueryContext q = dist->StartQuery(vec, {}).Value();
+  BeamSearch(*graph, dist, &q, entries, /*k=*/1, beam, nullptr, &evaluated);
+  for (uint32_t v : graph->neighbors(u)) {
+    evaluated.push_back({dist->DistanceBetween(u, v), v});
+  }
+  std::vector<uint32_t> selected =
+      RobustPrune(u, std::move(evaluated), alpha, max_degree, dist);
+  graph->SetNeighbors(u, selected);
+  for (uint32_t v : selected) {
+    auto* vn = graph->mutable_neighbors(v);
+    if (std::find(vn->begin(), vn->end(), u) != vn->end()) continue;
+    vn->push_back(u);
+    if (vn->size() > max_degree) {
+      std::vector<Neighbor> pool;
+      pool.reserve(vn->size());
+      for (uint32_t w : *vn) pool.push_back({dist->DistanceBetween(v, w), w});
+      graph->SetNeighbors(
+          v, RobustPrune(v, std::move(pool), alpha, max_degree, dist));
+    }
+  }
+  return selected;
 }
 
 // --- Stage bodies -----------------------------------------------------
 
 /// Initialization: approximate kNN lists via NN-Descent.
-Status StageInitNNDescent(dag::DagContext* ctx) {
-  MQA_ASSIGN_OR_RETURN(BuildState * s, GetState(ctx));
+Status StageInitNNDescent(BuildState* s) {
   MQA_ASSIGN_OR_RETURN(
       s->graph, BuildNNDescentGraph(s->dist, s->config.nn_descent_k,
                                     s->config.nn_descent_iters, &s->rng));
@@ -40,8 +74,7 @@ Status StageInitNNDescent(dag::DagContext* ctx) {
 }
 
 /// Initialization: random regular graph (Vamana style).
-Status StageInitRandom(dag::DagContext* ctx) {
-  MQA_ASSIGN_OR_RETURN(BuildState * s, GetState(ctx));
+Status StageInitRandom(BuildState* s) {
   const uint32_t n = s->dist->size();
   const uint32_t r = std::min(s->config.max_degree, n > 1 ? n - 1 : 0);
   AdjacencyGraph graph(n);
@@ -62,15 +95,13 @@ Status StageInitRandom(dag::DagContext* ctx) {
 
 /// Seed acquisition: the medoid is the fixed entry point of build-time and
 /// query-time searches.
-Status StageSeed(dag::DagContext* ctx) {
-  MQA_ASSIGN_OR_RETURN(BuildState * s, GetState(ctx));
+Status StageSeed(BuildState* s) {
   s->medoid = ApproximateMedoid(s->dist, &s->rng);
   return Status::OK();
 }
 
 /// Neighbor selection only (KGraph): truncate kNN lists to max_degree.
-Status StageTruncate(dag::DagContext* ctx) {
-  MQA_ASSIGN_OR_RETURN(BuildState * s, GetState(ctx));
+Status StageTruncate(BuildState* s) {
   const uint32_t r = s->config.max_degree;
   for (uint32_t u = 0; u < s->graph.num_nodes(); ++u) {
     auto* nbrs = s->graph.mutable_neighbors(u);
@@ -80,77 +111,33 @@ Status StageTruncate(dag::DagContext* ctx) {
 }
 
 /// Candidate acquisition + neighbor selection, fused per vertex as in the
-/// reference implementations: search the graph for each vertex's own
-/// vector, pool the evaluated vertices with the current neighbors, run
-/// RobustPrune, then insert pruned reverse edges.
-Status StageRefine(dag::DagContext* ctx, float alpha) {
-  MQA_ASSIGN_OR_RETURN(BuildState * s, GetState(ctx));
-  const uint32_t n = s->graph.num_nodes();
-  const uint32_t r = s->config.max_degree;
-  const std::vector<uint32_t> order = s->rng.Permutation(n);
-  std::vector<Neighbor> evaluated;
-  for (uint32_t u : order) {
-    evaluated.clear();
-    QueryContext q = s->dist->StartQuery(s->store->data(u), {}).Value();
-    BeamSearch(s->graph, s->dist, &q, {s->medoid},
-               /*k=*/1, s->config.build_beam, nullptr, &evaluated);
-    for (uint32_t v : s->graph.neighbors(u)) {
-      evaluated.push_back({s->dist->DistanceBetween(u, v), v});
-    }
-    std::vector<uint32_t> selected =
-        RobustPrune(u, std::move(evaluated), alpha, r, s->dist);
-    s->graph.SetNeighbors(u, selected);
-    // Reverse edges, pruning on overflow.
-    for (uint32_t v : selected) {
-      auto* vn = s->graph.mutable_neighbors(v);
-      if (std::find(vn->begin(), vn->end(), u) != vn->end()) continue;
-      vn->push_back(u);
-      if (vn->size() > r) {
-        std::vector<Neighbor> pool;
-        pool.reserve(vn->size());
-        for (uint32_t w : *vn) {
-          pool.push_back({s->dist->DistanceBetween(v, w), w});
-        }
-        s->graph.SetNeighbors(v,
-                              RobustPrune(v, std::move(pool), alpha, r,
-                                          s->dist));
-      }
-    }
-    evaluated.clear();
+/// reference implementations: every vertex, in a random order, is re-linked
+/// from the medoid with diversification factor `alpha`.
+Status Refine(BuildState* s, float alpha) {
+  const std::vector<uint32_t> entries{s->medoid};
+  for (uint32_t u : s->rng.Permutation(s->graph.num_nodes())) {
+    LinkVertex(&s->graph, s->dist, s->store->data(u), u, entries, alpha,
+               s->config.max_degree, s->config.build_beam);
   }
   return Status::OK();
 }
 
+/// Refinement with the MRNG rule (alpha = 1), as NSG and Vamana's first
+/// pass use it.
+Status StageRefineMrng(BuildState* s) { return Refine(s, 1.0f); }
+
+/// Refinement with the configured alpha.
+Status StageRefineAlpha(BuildState* s) { return Refine(s, s->config.alpha); }
+
 /// Connectivity assurance: repeatedly attach components unreachable from
 /// the medoid, NSG-style (link the nearest reachable vertex to one
 /// unreachable vertex per round, falling back to a direct medoid edge).
-Status StageConnect(dag::DagContext* ctx) {
-  MQA_ASSIGN_OR_RETURN(BuildState * s, GetState(ctx));
-  const uint32_t n = s->graph.num_nodes();
+Status StageConnect(BuildState* s) {
   for (int round = 0; round < 64; ++round) {
-    // BFS from the medoid.
-    std::vector<bool> reachable(n, false);
-    std::queue<uint32_t> frontier;
-    frontier.push(s->medoid);
-    reachable[s->medoid] = true;
-    while (!frontier.empty()) {
-      const uint32_t u = frontier.front();
-      frontier.pop();
-      for (uint32_t v : s->graph.neighbors(u)) {
-        if (!reachable[v]) {
-          reachable[v] = true;
-          frontier.push(v);
-        }
-      }
-    }
-    uint32_t unreachable = n;
-    for (uint32_t u = 0; u < n; ++u) {
-      if (!reachable[u]) {
-        unreachable = u;
-        break;
-      }
-    }
-    if (unreachable == n) return Status::OK();
+    const std::vector<bool> reachable = s->graph.ReachableSet(s->medoid);
+    const auto it = std::find(reachable.begin(), reachable.end(), false);
+    if (it == reachable.end()) return Status::OK();
+    const auto unreachable = static_cast<uint32_t>(it - reachable.begin());
 
     // Find the reachable vertex nearest to it and link from there.
     QueryContext q =
@@ -163,24 +150,40 @@ Status StageConnect(dag::DagContext* ctx) {
   }
   // Give up gracefully: link any remaining stragglers straight to the
   // medoid so search never dead-ends.
-  std::vector<bool> reachable(n, false);
-  std::queue<uint32_t> frontier;
-  frontier.push(s->medoid);
-  reachable[s->medoid] = true;
-  while (!frontier.empty()) {
-    const uint32_t u = frontier.front();
-    frontier.pop();
-    for (uint32_t v : s->graph.neighbors(u)) {
-      if (!reachable[v]) {
-        reachable[v] = true;
-        frontier.push(v);
-      }
-    }
-  }
-  for (uint32_t u = 0; u < n; ++u) {
+  const std::vector<bool> reachable = s->graph.ReachableSet(s->medoid);
+  for (uint32_t u = 0; u < s->graph.num_nodes(); ++u) {
     if (!reachable[u]) s->graph.AddEdge(s->medoid, u);
   }
   return Status::OK();
+}
+
+/// The stages of `algorithm`, in run order; empty for an unknown name.
+std::vector<Stage> StagesFor(const std::string& algorithm) {
+  if (algorithm == "kgraph") {
+    return {{"initialization", StageInitNNDescent},
+            {"seed_acquisition", StageSeed},
+            {"neighbor_selection", StageTruncate}};
+  }
+  if (algorithm == "nsg") {
+    return {{"initialization", StageInitNNDescent},
+            {"seed_acquisition", StageSeed},
+            {"refinement", StageRefineMrng},
+            {"connectivity", StageConnect}};
+  }
+  if (algorithm == "vamana") {
+    return {{"initialization", StageInitRandom},
+            {"seed_acquisition", StageSeed},
+            {"refinement_pass1", StageRefineMrng},
+            {"refinement_pass2", StageRefineAlpha},
+            {"connectivity", StageConnect}};
+  }
+  if (algorithm == "mqa-hybrid") {
+    return {{"initialization", StageInitNNDescent},
+            {"seed_acquisition", StageSeed},
+            {"refinement", StageRefineAlpha},
+            {"connectivity", StageConnect}};
+  }
+  return {};
 }
 
 }  // namespace
@@ -228,91 +231,59 @@ Result<std::unique_ptr<GraphIndex>> BuildGraphIndex(
     return Status::InvalidArgument("max_degree must be > 0");
   }
   const std::string& algo = config.algorithm;
-  const bool known = algo == "kgraph" || algo == "nsg" || algo == "vamana" ||
-                     algo == "mqa-hybrid";
-  if (!known) {
+  const std::vector<Stage> stages = StagesFor(algo);
+  if (stages.empty()) {
     return Status::InvalidArgument("unknown graph algorithm: " + algo);
   }
 
-  dag::DagContext ctx;
-  {
-    BuildState state;
-    state.config = config;
-    state.store = store;
-    state.dist = dist.get();
-    state.rng = Rng(config.seed);
-    ctx.Put(kStateKey, std::move(state));
-  }
+  BuildState state;
+  state.config = config;
+  state.store = store;
+  state.dist = dist.get();
+  state.rng = Rng(config.seed);
 
-  // Assemble the five-part pipeline for the chosen algorithm.
-  dag::DagPipeline pipeline(algo);
-  const bool nn_init = algo != "vamana";
-  MQA_RETURN_NOT_OK(pipeline.AddNode(
-      "initialization", {}, nn_init ? StageInitNNDescent : StageInitRandom));
-  MQA_RETURN_NOT_OK(
-      pipeline.AddNode("seed_acquisition", {"initialization"}, StageSeed));
-  std::string tail = "seed_acquisition";
-  if (algo == "kgraph") {
-    MQA_RETURN_NOT_OK(pipeline.AddNode("neighbor_selection", {tail},
-                                       StageTruncate));
-    tail = "neighbor_selection";
-  } else if (algo == "nsg") {
-    MQA_RETURN_NOT_OK(pipeline.AddNode(
-        "refinement", {tail},
-        [](dag::DagContext* c) { return StageRefine(c, 1.0f); }));
-    tail = "refinement";
-  } else if (algo == "vamana") {
-    MQA_RETURN_NOT_OK(pipeline.AddNode(
-        "refinement_pass1", {tail},
-        [](dag::DagContext* c) { return StageRefine(c, 1.0f); }));
-    const float alpha = config.alpha;
-    MQA_RETURN_NOT_OK(pipeline.AddNode(
-        "refinement_pass2", {"refinement_pass1"},
-        [alpha](dag::DagContext* c) { return StageRefine(c, alpha); }));
-    tail = "refinement_pass2";
-  } else {  // mqa-hybrid
-    const float alpha = config.alpha;
-    MQA_RETURN_NOT_OK(pipeline.AddNode(
-        "refinement", {tail},
-        [alpha](dag::DagContext* c) { return StageRefine(c, alpha); }));
-    tail = "refinement";
-  }
-  if (algo != "kgraph") {
-    MQA_RETURN_NOT_OK(pipeline.AddNode("connectivity", {tail}, StageConnect));
-  }
-
+  // Run the stages in order, one span and one timing each; the first
+  // failing stage ends the build with its status.
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  std::vector<StageReport> stage_reports;
   Timer timer;
-  MQA_RETURN_NOT_OK(ctx.Contains(kStateKey)
-                        ? Status::OK()
-                        : Status::Internal("missing build state"));
-  // The stage chain is linear; run sequentially for determinism.
-  MQA_RETURN_NOT_OK(pipeline.Run(&ctx, /*parallel=*/false));
+  for (const Stage& stage : stages) {
+    Span span(std::string("dag/") + stage.name);
+    Timer stage_timer;
+    const Status st = stage.run(&state);
+    const double ms = stage_timer.ElapsedMillis();
+    metrics.GetHistogram("dag/stage_ms")->Record(ms);
+    if (!st.ok()) {
+      metrics.GetCounter("dag/stage_failures")->Increment();
+      return st;
+    }
+    stage_reports.push_back(StageReport{stage.name, ms});
+  }
   const double total = timer.ElapsedSeconds();
 
-  MQA_ASSIGN_OR_RETURN(BuildState * state, ctx.Get<BuildState>(kStateKey));
   if (report != nullptr) {
     report->algorithm = algo;
     report->total_seconds = total;
-    report->stages = pipeline.reports();
-    report->avg_degree = state->graph.AverageDegree();
-    report->max_degree = state->graph.MaxDegree();
-    report->medoid = state->medoid;
-    report->connected = state->graph.IsConnectedFrom(state->medoid);
+    report->stages = std::move(stage_reports);
+    report->avg_degree = state.graph.AverageDegree();
+    report->max_degree = state.graph.MaxDegree();
+    report->medoid = state.medoid;
+    report->connected = state.graph.IsConnectedFrom(state.medoid);
   }
 
   // Entry points: the medoid. A raw kNN graph (kgraph) has no long-range
   // links, so searches also start from random restarts to reach every
   // cluster — the standard KGraph search recipe.
-  std::vector<uint32_t> entries{state->medoid};
+  std::vector<uint32_t> entries{state.medoid};
   if (algo == "kgraph") {
     Rng entry_rng(config.seed ^ 0xe27);
-    const uint32_t n = state->graph.num_nodes();
+    const uint32_t n = state.graph.num_nodes();
     for (uint32_t e : entry_rng.SampleWithoutReplacement(
              n, std::min<uint32_t>(n, 16))) {
       entries.push_back(e);
     }
   }
-  return std::make_unique<GraphIndex>(algo, std::move(state->graph),
+  return std::make_unique<GraphIndex>(algo, std::move(state.graph),
                                       std::move(dist), std::move(entries));
 }
 
@@ -334,34 +305,11 @@ Status InsertIntoGraphIndex(GraphIndex* index, const VectorStore* store,
     return Status::FailedPrecondition(
         "the new vector must be in the store before insertion");
   }
-  DistanceComputer* dist = index->distance();
   graph->AddNode();
-
-  // Candidate acquisition: search for the new vector from the entries.
-  std::vector<Neighbor> evaluated;
-  QueryContext q = dist->StartQuery(store->data(new_id), {}).Value();
-  BeamSearch(*graph, dist, &q, index->entry_points(),
-             /*k=*/1, config.build_beam, nullptr, &evaluated);
-  std::vector<uint32_t> selected = RobustPrune(
-      new_id, std::move(evaluated), config.alpha, config.max_degree, dist);
-  graph->SetNeighbors(new_id, selected);
-
-  // Pruned backlinks so the new node is reachable.
-  for (uint32_t v : selected) {
-    auto* vn = graph->mutable_neighbors(v);
-    if (std::find(vn->begin(), vn->end(), new_id) != vn->end()) continue;
-    vn->push_back(new_id);
-    if (vn->size() > config.max_degree) {
-      std::vector<Neighbor> pool;
-      pool.reserve(vn->size());
-      for (uint32_t w : *vn) {
-        pool.push_back({dist->DistanceBetween(v, w), w});
-      }
-      graph->SetNeighbors(
-          v, RobustPrune(v, std::move(pool), config.alpha,
-                         config.max_degree, dist));
-    }
-  }
+  const std::vector<uint32_t> selected = LinkVertex(
+      graph, index->distance(), store->data(new_id), new_id,
+      index->entry_points(), config.alpha, config.max_degree,
+      config.build_beam);
   // Degenerate safety: an empty selection (e.g. first insert into a
   // 1-node graph) still needs reachability.
   if (selected.empty() && new_id > 0) {

@@ -7,7 +7,6 @@
 
 #include "common/result.h"
 #include "common/topk.h"
-#include "dag/dag.h"
 #include "graph/search.h"
 #include "vector/vector_store.h"
 
@@ -31,14 +30,19 @@ struct GraphBuildConfig {
   uint32_t nn_descent_k = 32;     ///< kNN-list size of the init stage
   uint32_t nn_descent_iters = 8;  ///< max NN-Descent rounds
   uint64_t seed = 42;
-  bool run_stages_on_dag = true;  ///< execute stages through the DAG engine
+};
+
+/// Name and wall time of one finished pipeline stage.
+struct StageReport {
+  std::string name;
+  double elapsed_ms = 0.0;
 };
 
 /// What the status-monitoring panel shows about a finished build.
 struct BuildReport {
   std::string algorithm;
   double total_seconds = 0.0;
-  std::vector<dag::NodeReport> stages;  ///< per-stage names and timings
+  std::vector<StageReport> stages;  ///< per-stage names and timings, in order
   double avg_degree = 0.0;
   uint32_t max_degree = 0;
   uint32_t medoid = 0;

@@ -98,10 +98,9 @@ Result<std::unique_ptr<ShardedRetrieval>> ShardedRetrieval::Create(
       1, std::min(fw->options_.quorum, fw->options_.num_shards));
 
   // --- Build per-shard frameworks concurrently. ---
-  // A build-scoped pool sized to the shard count, not DefaultThreadPool():
-  // every shard builds at once whatever else the shared pool is running,
-  // a Create called from a default-pool task never waits on its own pool,
-  // and the build threads are joined before Create returns.
+  // A build-scoped pool sized to the shard count: every shard builds at
+  // once, a Create called from another pool's task never waits on its own
+  // pool, and the build threads are joined before Create returns.
   const size_t num_shards = shards.size();
   std::vector<Result<std::unique_ptr<RetrievalFramework>>> built;
   built.reserve(num_shards);

@@ -91,12 +91,5 @@ TEST(ThreadPoolTest, PostSwallowsExceptions) {
   EXPECT_TRUE(after.load());
 }
 
-TEST(ThreadPoolTest, DefaultPoolIsSingleton) {
-  ThreadPool& a = DefaultThreadPool();
-  ThreadPool& b = DefaultThreadPool();
-  EXPECT_EQ(&a, &b);
-  EXPECT_GE(a.num_threads(), 1u);
-}
-
 }  // namespace
 }  // namespace mqa

@@ -153,8 +153,8 @@ TEST_F(ObservabilityTest, BuildTraceCoversPipelineAndDagStages) {
     ASSERT_TRUE(by_name.count(expected)) << "missing span " << expected;
     EXPECT_GE(by_name[expected]->end_micros, 0) << expected << " left open";
   }
-  // The graph construction DAG re-attaches its stage spans from pool
-  // threads under build/index.
+  // The graph construction pipeline opens one span per stage under
+  // build/index.
   bool saw_dag_stage = false;
   for (const SpanRecord& s : spans) {
     if (s.name.rfind("dag/", 0) == 0) {

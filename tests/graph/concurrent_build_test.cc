@@ -1,8 +1,8 @@
 // Concurrency audit tests for the graph-build and search paths, written to
 // run clean under -fsanitize=thread:
 //
-//  * independent builds racing on different stores (shared DefaultThreadPool
-//    through the DAG engine and shared process-wide statics),
+//  * independent builds racing on different stores (shared process-wide
+//    statics such as the metrics registry),
 //  * concurrent read-only searches on one shared index — including the MUST
 //    multi-vector path, whose DistanceStats counters are shared mutable
 //    state across queries (now atomic),

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "common/metrics.h"
 #include "graph/nn_descent.h"
 #include "graph_test_util.h"
 
@@ -201,18 +204,50 @@ TEST(BuildGraphIndexTest, RefinedGraphsAreConnectedAndDegreeBounded) {
 
 TEST(BuildGraphIndexTest, StageNamesFollowThePipelineDecomposition) {
   VectorStore store = MakeClusteredStore(200, 4, 4, 17);
+  const std::vector<std::string> refined{"initialization", "seed_acquisition",
+                                         "refinement", "connectivity"};
+  const std::map<std::string, std::vector<std::string>> expected{
+      {"kgraph",
+       {"initialization", "seed_acquisition", "neighbor_selection"}},
+      {"nsg", refined},
+      {"vamana",
+       {"initialization", "seed_acquisition", "refinement_pass1",
+        "refinement_pass2", "connectivity"}},
+      {"mqa-hybrid", refined}};
+  for (const std::string& algo : GraphAlgorithms()) {
+    GraphBuildConfig config;
+    config.algorithm = algo;
+    BuildReport report;
+    auto index = BuildGraphIndex(
+        config, &store,
+        std::make_unique<FlatDistanceComputer>(&store, Metric::kL2),
+        &report);
+    ASSERT_TRUE(index.ok()) << algo;
+    std::vector<std::string> names;
+    for (const auto& stage : report.stages) names.push_back(stage.name);
+    EXPECT_EQ(names, expected.at(algo)) << algo;
+  }
+}
+
+TEST(BuildGraphIndexTest, FailingStageReturnsItsStatus) {
+  VectorStore store = MakeClusteredStore(50, 4, 2, 17);
   GraphBuildConfig config;
-  config.algorithm = "mqa-hybrid";
+  config.algorithm = "nsg";
+  config.nn_descent_k = 0;  // initialization rejects it
+  const uint64_t failures_before =
+      MetricsRegistry::Global().CounterValue("dag/stage_failures");
   BuildReport report;
   auto index = BuildGraphIndex(
       config, &store,
       std::make_unique<FlatDistanceComputer>(&store, Metric::kL2), &report);
-  ASSERT_TRUE(index.ok());
-  std::vector<std::string> names;
-  for (const auto& stage : report.stages) names.push_back(stage.name);
-  EXPECT_EQ(names,
-            (std::vector<std::string>{"initialization", "seed_acquisition",
-                                      "refinement", "connectivity"}));
+  ASSERT_FALSE(index.ok());
+  EXPECT_EQ(index.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(index.status().message().find("k must be > 0"), std::string::npos)
+      << index.status().ToString();
+  EXPECT_EQ(MetricsRegistry::Global().CounterValue("dag/stage_failures"),
+            failures_before + 1);
+  // A failed build leaves the report untouched.
+  EXPECT_TRUE(report.stages.empty());
 }
 
 TEST(BuildGraphIndexTest, DeterministicGivenSeed) {
